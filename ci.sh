@@ -37,6 +37,13 @@ cargo run --release -q -p omb --bin bench_omb BENCH_omb.json "$tmp/trace.json" "
 run_twice_cmp BENCH.json cargo run --release -q -p omb --bin bench_omb OUT
 cmp BENCH_omb.json "$tmp/BENCH.json"
 
+# Figure determinism gate: the application harnesses (64-PE Stencil2D
+# and LBM sweeps) must print byte-identical tables on two runs — PE
+# threads resume one at a time in wake order, so no figure may depend
+# on OS thread scheduling.
+run_twice_cmp fig11 env BENCH_FAST=1 cargo bench -q -p bench-gdr --bench fig11_stencil2d
+run_twice_cmp fig12 env BENCH_FAST=1 cargo bench -q -p bench-gdr --bench fig12_lbm
+
 # gdrprof smoke: the traced workload must analyze to a nonzero critical
 # path with the expected anchor lines.
 out="$(cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/trace.json" --json "$tmp/report.json")"

@@ -4,10 +4,8 @@
 //! (`MV2_GPUDIRECT_LIMIT` and friends): every hybrid-protocol crossover
 //! in §III of the paper is a runtime parameter here.
 
-use serde::{Deserialize, Serialize};
-
 /// Which OpenSHMEM runtime design services communication operations.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Design {
     /// The basic OpenSHMEM model: host-to-host communication only; users
     /// stage GPU data with explicit cudaMemcpy (paper Table I "Naive").
@@ -34,7 +32,7 @@ impl Design {
 }
 
 /// Tunable runtime parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
     pub design: Design,
     /// Symmetric host heap bytes per PE.

@@ -1,9 +1,8 @@
 //! Minimal JSON: a string-building writer and a strict recursive-descent
 //! parser.
 //!
-//! The workspace builds offline against a stub `serde` (see
-//! `compat/serde`), so the Chrome-trace exporter hand-rolls its wire
-//! format here. The parser exists so tests can load a trace back and
+//! The workspace has no serialization dependency: the Chrome-trace
+//! exporter and every report hand-roll their wire format here. The parser exists so tests can load a trace back and
 //! assert on its structure — it is small but honest: escapes, nesting,
 //! and number forms are handled; anything malformed is an `Err`.
 

@@ -1,10 +1,13 @@
-//! The discrete-event engine and its conservative thread coordination.
+//! The discrete-event engine and its single-baton thread coordination.
 //!
 //! Processing elements (PEs) run as ordinary OS threads so that benchmark
 //! and application code can be written as straight-line SHMEM programs.
-//! All *timing* however is virtual: the global clock only advances when
-//! every task is blocked (on a time advance or on a [`Completion`]), at
-//! which point whichever thread blocked last drives the event heap.
+//! All *timing* however is virtual, and exactly one task runs user code
+//! at a time: the one holding the engine's baton. A task that blocks (on
+//! a time advance or on a [`Completion`]) or exits passes the baton to
+//! the head of the ready queue and parks on its own condvar; when the
+//! queue is empty it first drives the event heap — moving the clock —
+//! until some event wakes a task.
 //!
 //! Hardware models (DMA engines, HCAs, proxies) are not threads; they are
 //! chains of scheduled closures (`Action`s) that fire at virtual instants,
@@ -13,17 +16,17 @@
 //! # Determinism
 //!
 //! Event execution order is fully deterministic: ties at the same instant
-//! break on a monotonically increasing sequence number. The only residual
-//! nondeterminism is the order in which *concurrently runnable* PE threads
-//! reach the engine within the same virtual instant; protocols that care
-//! (all benchmarks in this workspace) serialize through completions and
-//! barriers, so reported aggregate timings are stable run to run.
+//! break on a monotonically increasing sequence number. Woken tasks
+//! resume one at a time in wake order, and wake order is event order, so
+//! the interleaving of PE code — and every virtual time it reports — is
+//! a function of the program alone, never of OS scheduling.
 
 use crate::time::{SimDuration, SimTime};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Identifier of a task (PE thread) registered with the engine.
@@ -63,13 +66,13 @@ impl Ord for EventEntry {
     }
 }
 
-#[derive(Default)]
 struct TaskState {
-    ready: bool,
-    wait_reason: Option<String>,
     alive: bool,
-    /// Counted in `Core::runnable` (executing user code or woken).
-    running: bool,
+    /// In `Core::ready`, waiting for the baton.
+    queued: bool,
+    wait_reason: Option<String>,
+    /// The task's thread sleeps here until it holds the baton.
+    parked: Arc<Condvar>,
 }
 
 /// Aggregate engine counters, readable after a run.
@@ -79,12 +82,12 @@ pub struct EngineStats {
     pub events_executed: u64,
     /// High-water mark of the pending-event heap.
     pub max_heap_len: usize,
-    /// Number of task wake-ups delivered.
+    /// Number of task wake-ups delivered (a task's start is not one).
     pub wakeups: u64,
     /// Number of `signal` calls on completions.
     pub completions_signalled: u64,
-    /// Events a *blocked* task had to drive itself because no task was
-    /// runnable — each one is a stall where virtual time could only
+    /// Events driven by a blocking or exiting task because no task was
+    /// ready — each one is a stall where virtual time could only
     /// advance through the event heap.
     pub time_advance_stalls: u64,
 }
@@ -93,41 +96,86 @@ struct Core {
     now: SimTime,
     seq: u64,
     events: BinaryHeap<EventEntry>,
-    /// Tasks currently executing user code (or marked ready to resume).
-    runnable: usize,
+    /// Woken tasks in wake order; the head gets the baton next.
+    ready: VecDeque<TaskId>,
+    /// The one task allowed to run user code.
+    baton: Option<TaskId>,
     /// Tasks spawned and not yet exited.
     live: usize,
     tasks: Vec<TaskState>,
     stats: EngineStats,
-    /// Set when a driver thread panicked (deadlock or event-action panic)
-    /// so blocked sibling threads unwind instead of hanging in `cv.wait`.
+    /// Set when a task or an event action panicked (or the engine
+    /// deadlocked) so parked sibling tasks unwind instead of hanging.
     poisoned: bool,
-    /// Set by `wake` so drivers only broadcast the condvar when a task
-    /// actually became runnable (most events are pure hardware chains).
-    pending_wakes: bool,
 }
 
 impl Core {
-    fn pop_due(&mut self) -> Option<EventEntry> {
-        self.events.pop()
-    }
-
     fn wake(&mut self, task: TaskId) {
         let st = &mut self.tasks[task.0];
         assert!(st.alive, "woke dead {task}");
-        if !st.ready {
-            st.ready = true;
-            st.running = true;
-            self.runnable += 1;
+        if !st.queued {
+            st.queued = true;
+            self.ready.push_back(task);
             self.stats.wakeups += 1;
-            self.pending_wakes = true;
         }
     }
 
-    fn deadlock_dump(&self) -> String {
-        let mut s = String::from("virtual-time deadlock: no runnable task and no pending event\n");
+    /// Hand the baton to the head of the ready queue, driving the event
+    /// heap while the queue is empty. With live tasks, no ready task and
+    /// no pending event, the engine is deadlocked: poison and panic.
+    fn pass_baton(&mut self) {
+        self.baton = None;
+        loop {
+            if let Some(next) = self.ready.pop_front() {
+                let st = &mut self.tasks[next.0];
+                st.queued = false;
+                st.parked.notify_one();
+                self.baton = Some(next);
+                return;
+            }
+            if self.live == 0 {
+                return;
+            }
+            match self.events.pop() {
+                Some(ev) => {
+                    self.stats.time_advance_stalls += 1;
+                    self.exec_event(ev);
+                }
+                None => {
+                    self.poison();
+                    panic!(
+                        "virtual-time deadlock: no runnable task and no pending event\n{}",
+                        self.waiting_tasks()
+                    )
+                }
+            }
+        }
+    }
+
+    fn exec_event(&mut self, ev: EventEntry) {
+        debug_assert!(ev.at >= self.now);
+        self.now = ev.at;
+        self.stats.events_executed += 1;
+        let r = catch_unwind(AssertUnwindSafe(|| (ev.action)(&mut Sched { core: self })));
+        if let Err(payload) = r {
+            self.poison();
+            resume_unwind(payload);
+        }
+    }
+
+    /// Mark the engine failed and wake every parked task so it unwinds.
+    fn poison(&mut self) {
+        self.poisoned = true;
+        for t in &self.tasks {
+            t.parked.notify_one();
+        }
+    }
+
+    /// One line per live task that neither holds nor awaits the baton.
+    fn waiting_tasks(&self) -> String {
+        let mut s = String::new();
         for (i, t) in self.tasks.iter().enumerate() {
-            if t.alive && !t.ready {
+            if t.alive && !t.queued && self.baton != Some(TaskId(i)) {
                 let why = t.wait_reason.as_deref().unwrap_or("<unknown>");
                 s.push_str(&format!("  task{i}: waiting on {why}\n"));
             }
@@ -136,15 +184,10 @@ impl Core {
     }
 }
 
-struct Shared {
-    core: Mutex<Core>,
-    cv: Condvar,
-}
-
 /// Handle to a simulation. Cheap to clone; all clones share one clock.
 #[derive(Clone)]
 pub struct Sim {
-    sh: Arc<Shared>,
+    core: Arc<Mutex<Core>>,
 }
 
 impl Default for Sim {
@@ -183,11 +226,6 @@ impl<'a> Sched<'a> {
     pub fn schedule_in(&mut self, delay: SimDuration, action: Action) {
         let at = self.core.now + delay;
         self.schedule_at(at, action);
-    }
-
-    /// Mark a blocked task runnable again.
-    pub fn wake(&mut self, task: TaskId) {
-        self.core.wake(task);
     }
 
     /// Add `n` to a completion counter, waking satisfied waiters and
@@ -275,23 +313,18 @@ impl TaskCtx {
             return;
         }
         let me = self.id;
-        let mut guard = self.sim.sh.core.lock();
+        let mut guard = self.sim.core.lock();
         let at = guard.now + d;
-        {
-            // go through the canonical scheduler so stats and the
-            // monotonicity check apply to task wake-ups too
-            let core: &mut Core = &mut guard;
-            let mut sched = Sched { core };
-            sched.schedule_at(at, Box::new(move |s| s.wake(me)));
-        }
-        self.sim
-            .block_current(&mut guard, me, format!("advance until {at}"));
+        // go through the canonical scheduler so stats and the
+        // monotonicity check apply to task wake-ups too
+        Sched { core: &mut guard }.schedule_at(at, Box::new(move |s| s.core.wake(me)));
+        Sim::block_current(&mut guard, me, format!("advance until {at}"));
     }
 
     /// Block until `c`'s counter reaches at least `threshold`.
     pub fn wait_threshold(&self, c: &Completion, threshold: u64) {
         let me = self.id;
-        let mut guard = self.sim.sh.core.lock();
+        let mut guard = self.sim.core.lock();
         {
             let mut st = c.inner.lock();
             if st.count >= threshold {
@@ -302,8 +335,7 @@ impl TaskCtx {
                 kind: WaiterKind::Task(me),
             });
         }
-        self.sim
-            .block_current(&mut guard, me, format!("completion>={threshold}"));
+        Sim::block_current(&mut guard, me, format!("completion>={threshold}"));
     }
 
     /// Block until `c` has been signalled at least once.
@@ -360,86 +392,55 @@ impl TaskCtx {
 impl Sim {
     pub fn new() -> Sim {
         Sim {
-            sh: Arc::new(Shared {
-                core: Mutex::new(Core {
-                    now: SimTime::ZERO,
-                    seq: 0,
-                    events: BinaryHeap::new(),
-                    runnable: 0,
-                    live: 0,
-                    tasks: Vec::new(),
-                    stats: EngineStats::default(),
-                    poisoned: false,
-                    pending_wakes: false,
-                }),
-                cv: Condvar::new(),
-            }),
+            core: Arc::new(Mutex::new(Core {
+                now: SimTime::ZERO,
+                seq: 0,
+                events: BinaryHeap::new(),
+                ready: VecDeque::new(),
+                baton: None,
+                live: 0,
+                tasks: Vec::new(),
+                stats: EngineStats::default(),
+                poisoned: false,
+            })),
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.sh.core.lock().now
+        self.core.lock().now
     }
 
     /// Engine counters so far.
     pub fn stats(&self) -> EngineStats {
-        self.sh.core.lock().stats
+        self.core.lock().stats
     }
 
     /// Diagnostic snapshot of every blocked task's wait reason plus the
     /// pending-event count — what a quiesce-watchdog timeout reports so
     /// a stuck wait names its suspects instead of just timing out.
     pub fn blocked_dump(&self) -> String {
-        let guard = self.sh.core.lock();
-        let mut s = format!(
-            "blocked tasks at t={} ({} events pending):\n",
+        let guard = self.core.lock();
+        format!(
+            "blocked tasks at t={} ({} events pending):\n{}",
             guard.now,
-            guard.events.len()
-        );
-        for (i, t) in guard.tasks.iter().enumerate() {
-            if t.alive && !t.ready && !t.running {
-                let why = t.wait_reason.as_deref().unwrap_or("<unknown>");
-                s.push_str(&format!("  task{i}: waiting on {why}\n"));
-            }
-        }
-        s
+            guard.events.len(),
+            guard.waiting_tasks()
+        )
     }
 
-    /// Run a closure with the scheduler (engine lock held).
+    /// Run a closure with the scheduler (engine lock held). Tasks it
+    /// wakes join the ready queue and resume when the baton reaches them.
     pub fn with_sched<R>(&self, f: impl FnOnce(&mut Sched<'_>) -> R) -> R {
-        let mut guard = self.sh.core.lock();
-        let mut sched = Sched { core: &mut guard };
-        let r = f(&mut sched);
-        // The closure may have woken tasks (e.g. by signalling a
-        // completion); threads parked in cv.wait must learn about it.
-        if guard.pending_wakes {
-            guard.pending_wakes = false;
-            self.sh.cv.notify_all();
-        }
-        r
-    }
-
-    // (helper) run one popped event with the guard held.
-    fn exec_event(sh: &Shared, guard: &mut MutexGuard<'_, Core>, ev: EventEntry) {
-        debug_assert!(ev.at >= guard.now);
-        guard.now = ev.at;
-        guard.stats.events_executed += 1;
-        let core: &mut Core = guard;
-        let mut sched = Sched { core };
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (ev.action)(&mut sched);
-        }));
-        if let Err(payload) = r {
-            guard.poisoned = true;
-            sh.cv.notify_all();
-            std::panic::resume_unwind(payload);
-        }
+        f(&mut Sched {
+            core: &mut self.core.lock(),
+        })
     }
 
     /// Spawn `n` tasks running `f(ctx)` and block until all finish, then
     /// drain any remaining events (letting in-flight hardware settle).
-    /// Returns each task's result, indexed by rank.
+    /// Returns each task's result, indexed by rank. Tasks first take the
+    /// baton in rank order.
     ///
     /// Virtual time persists across consecutive `run` calls.
     pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
@@ -449,158 +450,124 @@ impl Sim {
     {
         assert!(n > 0, "need at least one task");
         let base = {
-            let mut core = self.sh.core.lock();
+            let mut core = self.core.lock();
             assert_eq!(core.live, 0, "nested/overlapping Sim::run is not supported");
             let base = core.tasks.len();
-            for _ in 0..n {
+            for id in base..base + n {
                 core.tasks.push(TaskState {
-                    ready: false,
-                    wait_reason: None,
                     alive: true,
-                    running: true,
+                    queued: true,
+                    wait_reason: None,
+                    parked: Arc::new(Condvar::new()),
                 });
+                core.ready.push_back(TaskId(id));
             }
             core.live += n;
-            core.runnable += n;
+            core.pass_baton();
             base
         };
         let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (rank, slot) in out.iter_mut().enumerate() {
-                let sim = self.clone();
-                let f = &f;
-                handles.push(scope.spawn(move |_| {
-                    let id = TaskId(base + rank);
-                    let ctx = TaskCtx {
-                        sim: sim.clone(),
-                        id,
-                        rank,
-                    };
-                    // A panicking task must release its accounting and
-                    // poison the engine, or sibling tasks hang forever.
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx)));
-                    match r {
-                        Ok(v) => {
-                            sim.task_exit(id);
-                            *slot = Some(v);
+        let mut panics: Vec<Box<dyn std::any::Any + Send>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = out
+                .iter_mut()
+                .enumerate()
+                .map(|(rank, slot)| {
+                    let sim = self.clone();
+                    let f = &f;
+                    scope.spawn(move || {
+                        let id = TaskId(base + rank);
+                        // A panicking task must release its accounting and
+                        // poison the engine, or sibling tasks hang forever.
+                        let r = catch_unwind(AssertUnwindSafe(|| {
+                            Sim::park(&mut sim.core.lock(), id);
+                            f(TaskCtx {
+                                sim: sim.clone(),
+                                id,
+                                rank,
+                            })
+                        }));
+                        match r {
+                            Ok(v) => {
+                                sim.task_exit(id);
+                                *slot = Some(v);
+                            }
+                            Err(payload) => {
+                                sim.task_abort(id);
+                                resume_unwind(payload);
+                            }
                         }
-                        Err(payload) => {
-                            sim.task_abort(id);
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                }));
-            }
-            let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    panics.push(payload);
-                }
-            }
-            if !panics.is_empty() {
-                // Prefer the root-cause panic over the secondary
-                // "simulation poisoned" panics of its siblings.
-                let is_poison = |p: &Box<dyn std::any::Any + Send>| {
-                    let msg = p
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_default();
-                    msg.contains("simulation poisoned")
-                };
-                let idx = panics.iter().position(|p| !is_poison(p)).unwrap_or(0);
-                std::panic::resume_unwind(panics.swap_remove(idx));
-            }
-        })
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    })
+                })
+                .collect();
+            handles.into_iter().filter_map(|h| h.join().err()).collect()
+        });
+        if !panics.is_empty() {
+            // Prefer the root-cause panic over the secondary
+            // "simulation poisoned" panics of its siblings.
+            let is_poison = |p: &Box<dyn std::any::Any + Send>| {
+                let msg = p
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                msg.contains("simulation poisoned")
+            };
+            let idx = panics.iter().position(|p| !is_poison(p)).unwrap_or(0);
+            resume_unwind(panics.swap_remove(idx));
+        }
         self.drain();
         out.into_iter().map(|o| o.expect("task result")).collect()
     }
 
     /// Execute every pending event (advancing time) until the heap is empty.
     pub fn drain(&self) {
-        let mut guard = self.sh.core.lock();
+        let mut guard = self.core.lock();
         assert_eq!(
             guard.live, 0,
             "drain() while tasks are live would execute events out from under them"
         );
-        while let Some(ev) = guard.pop_due() {
-            Self::exec_event(&self.sh, &mut guard, ev);
+        while let Some(ev) = guard.events.pop() {
+            guard.exec_event(ev);
         }
     }
 
     fn task_exit(&self, id: TaskId) {
-        let mut guard = self.sh.core.lock();
+        let mut guard = self.core.lock();
         guard.tasks[id.0].alive = false;
-        guard.tasks[id.0].running = false;
         guard.live -= 1;
-        guard.runnable -= 1;
-        // If everyone left is blocked, keep the world turning before we go.
-        while guard.runnable == 0 && guard.live > 0 {
-            match guard.pop_due() {
-                Some(ev) => Self::exec_event(&self.sh, &mut guard, ev),
-                None => {
-                    guard.poisoned = true;
-                    self.sh.cv.notify_all();
-                    panic!("{}", guard.deadlock_dump())
-                }
-            }
-        }
-        self.sh.cv.notify_all();
+        guard.pass_baton();
     }
 
     /// A task died by panic: release its accounting and poison the
     /// engine so its siblings unwind instead of deadlocking.
     fn task_abort(&self, id: TaskId) {
-        let mut guard = self.sh.core.lock();
-        let st = &mut guard.tasks[id.0];
-        st.alive = false;
-        if st.running {
-            st.running = false;
-            guard.runnable -= 1;
-        }
+        let mut guard = self.core.lock();
+        guard.tasks[id.0].alive = false;
         guard.live -= 1;
-        guard.poisoned = true;
-        self.sh.cv.notify_all();
+        guard.poison();
     }
 
-    /// Block the calling task until it is woken. Must be entered with the
-    /// engine lock held and the task registered as a waiter somewhere.
-    fn block_current(&self, guard: &mut MutexGuard<'_, Core>, me: TaskId, reason: String) {
+    /// Block the calling task until it is woken and the baton reaches
+    /// it. Must be entered with the engine lock held, by the baton
+    /// holder, with the task registered as a waiter somewhere.
+    fn block_current(guard: &mut MutexGuard<'_, Core>, me: TaskId, reason: String) {
         guard.tasks[me.0].wait_reason = Some(reason);
-        guard.tasks[me.0].running = false;
-        guard.runnable -= 1;
+        guard.pass_baton();
+        Self::park(guard, me);
+        guard.tasks[me.0].wait_reason = None;
+    }
+
+    /// Sleep until `me` holds the baton; unwind if the engine is poisoned.
+    fn park(guard: &mut MutexGuard<'_, Core>, me: TaskId) {
+        let parked = guard.tasks[me.0].parked.clone();
         loop {
             if guard.poisoned {
                 panic!("simulation poisoned by an earlier panic in another task");
             }
-            if guard.tasks[me.0].ready {
-                guard.tasks[me.0].ready = false;
-                guard.tasks[me.0].wait_reason = None;
-                // `runnable` was already incremented by the waker.
-                self.sh.cv.notify_all();
+            if guard.baton == Some(me) {
                 return;
             }
-            if guard.runnable == 0 {
-                match guard.pop_due() {
-                    Some(ev) => {
-                        guard.stats.time_advance_stalls += 1;
-                        Self::exec_event(&self.sh, guard, ev);
-                        if guard.pending_wakes {
-                            guard.pending_wakes = false;
-                            self.sh.cv.notify_all();
-                        }
-                    }
-                    None => {
-                        guard.poisoned = true;
-                        self.sh.cv.notify_all();
-                        panic!("{}", guard.deadlock_dump())
-                    }
-                }
-            } else {
-                self.sh.cv.wait(guard);
-            }
+            parked.wait(guard);
         }
     }
 }
@@ -930,6 +897,75 @@ mod tests {
         });
         // Everyone resumes when the slowest (16us) signals.
         assert!(out.iter().all(|&t| t == n as u64));
+    }
+
+    #[test]
+    fn same_instant_resumption_follows_wait_registration_order() {
+        // Tasks register on one completion in a scrambled rank order;
+        // a single event wakes them all at one instant. They must resume
+        // in registration order, on every run.
+        let n = 12;
+        for _ in 0..20 {
+            let sim = Sim::new();
+            let c = Completion::new();
+            let c2 = c.clone();
+            sim.with_sched(|s| {
+                s.schedule_in(
+                    SimDuration::from_us(100),
+                    Box::new(move |s| s.signal(&c2, 1)),
+                )
+            });
+            let registered = Arc::new(Mutex::new(Vec::new()));
+            let resumed = Arc::new(Mutex::new(Vec::new()));
+            let (reg, res) = (registered.clone(), resumed.clone());
+            sim.run(n, move |ctx| {
+                // rank * 7 mod 12 permutes the ranks
+                ctx.advance(SimDuration::from_us(1 + (ctx.rank() * 7 % n) as u64));
+                reg.lock().push(ctx.rank());
+                ctx.wait(&c);
+                res.lock().push(ctx.rank());
+            });
+            assert_eq!(resumed.lock().len(), n);
+            assert_eq!(*resumed.lock(), *registered.lock());
+        }
+    }
+
+    #[test]
+    fn one_task_runs_user_code_at_a_time() {
+        // Every round wakes all tasks at one instant, twice: from a time
+        // advance and from a shared completion. Each woken task yields
+        // its CPU inside its user-code section before blocking again; no
+        // other task may enter meanwhile.
+        let n = 8;
+        let rounds = 10u64;
+        let sim = Sim::new();
+        let c = Completion::new();
+        for r in 1..=rounds {
+            let c2 = c.clone();
+            sim.with_sched(|s| {
+                s.schedule_in(
+                    SimDuration::from_us(10 * r),
+                    Box::new(move |s| s.signal(&c2, 1)),
+                )
+            });
+        }
+        let inside = Arc::new(AtomicU64::new(0));
+        let peak = Arc::new(AtomicU64::new(0));
+        let (i2, p2) = (inside.clone(), peak.clone());
+        sim.run(n, move |ctx| {
+            let user_code = || {
+                p2.fetch_max(i2.fetch_add(1, AO::SeqCst) + 1, AO::SeqCst);
+                std::thread::yield_now();
+                i2.fetch_sub(1, AO::SeqCst);
+            };
+            for r in 1..=rounds {
+                ctx.advance(SimDuration::from_us(1));
+                user_code();
+                ctx.wait_threshold(&c, r);
+                user_code();
+            }
+        });
+        assert_eq!(peak.load(AO::SeqCst), 1);
     }
 }
 
