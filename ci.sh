@@ -30,6 +30,19 @@ run_twice_cmp() {
     cmp "$a.stdout" "$b.stdout"
 }
 
+# expect_exit CODE NAME CMD [ARGS...] — the exit-code gate: runs CMD
+# once with stdout in "$tmp/NAME" and stderr in "$tmp/NAME.stderr",
+# and requires exactly exit status CODE.
+expect_exit() {
+    local want="$1" out="$tmp/$2"; shift 2
+    local rc=0
+    "$@" > "$out" 2> "$out.stderr" || rc=$?
+    if [ "$rc" -ne "$want" ]; then
+        echo "ci: expected exit $want, got $rc: $*" >&2
+        exit 1
+    fi
+}
+
 # Bench report: run the OMB matrix + traced workload, write the
 # machine-readable report at the repo root, and prove determinism by
 # re-running and comparing byte-for-byte.
@@ -57,7 +70,13 @@ grep -q '"p999_us"' "$tmp/report.json"
 cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/report.json" "$tmp/report.json" --threshold 5 >/dev/null
 # ... and --json writes the machine-readable diff document
 cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/report.json" "$tmp/report.json" --json "$tmp/diff.json" >/dev/null
-grep -q '"schema":"gdrprof-diff-v1"' "$tmp/diff.json"
+grep -q '"schema":"gdrprof-diff-v2"' "$tmp/diff.json"
+# a report file of the retired v1 schema is rejected as malformed input
+printf '%s' '{"schema":"gdrprof-report-v1","trace_span_us":100.0,"ops_analyzed":10,
+  "flow":{"started":10,"matched":10,"linkage":1},"protocols":{},"decisions":{},
+  "faults":{},"links":{},"ops":[]}' > "$tmp/v1.json"
+expect_exit 2 v1.txt cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/v1.json" "$tmp/report.json"
+grep -q 'gdrprof-report-v1' "$tmp/v1.txt.stderr"
 
 # Crossover profiler: the sweep trace must yield latency curves and at
 # least one observed protocol switch per socket relation, each tagged
@@ -89,16 +108,9 @@ awk '/predicted-delta-us:/ { sub(/\+/, "", $2); exit !($2 > 0) }' <<<"$dgout"
 # Link-contention gate: the fixture pair holds latencies flat while one
 # link's contended fraction grows past the threshold — diff must trip
 # with the contention-specific exit code 5, not the latency code 4.
-set +e
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
+expect_exit 5 cont.txt cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
     tests/golden/report_contention_base.json tests/golden/report_contention_regressed.json \
-    --threshold 10 > "$tmp/cont.txt"
-rc=$?
-set -e
-if [ "$rc" -ne 5 ]; then
-    echo "gdrprof diff contention gate: expected exit 5, got $rc" >&2
-    exit 1
-fi
+    --threshold 10
 grep -q 'link-contention' "$tmp/cont.txt"
 grep -q 'REGRESSED' "$tmp/cont.txt"
 
@@ -133,13 +145,11 @@ if cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/chaos_rep.j
     echo "gdrprof diff missed a recovery-rate regression" >&2
     exit 1
 fi
-# ... and the checked-in regression fixture must keep tripping it too
-if cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
+# ... and the checked-in regression fixture must keep tripping it too,
+# with the latency/fault exit code 4
+expect_exit 4 recovery.txt cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
     tests/golden/report_recovery_base.json tests/golden/report_recovery_regressed.json \
-    --threshold 10 >/dev/null; then
-    echo "gdrprof diff missed the fixture recovery-rate regression" >&2
-    exit 1
-fi
+    --threshold 10
 
 # Chunk-recovery gate: the pipeline fault plan (large D-D put, chunk
 # posts drawing from the CQE stream with a retry budget of one) must
@@ -159,12 +169,9 @@ cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/chaos_rep.json
 }
 # ... and the fixture pair isolates that gate: identical latency and
 # recovery rates, only the delivered-byte fraction fell
-if cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
+expect_exit 4 partial.txt cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
     tests/golden/report_partial_base.json tests/golden/report_partial_regressed.json \
-    --threshold 10 >/dev/null; then
-    echo "gdrprof diff missed the fixture partial-delivery regression" >&2
-    exit 1
-fi
+    --threshold 10
 
 # Burst-recovery gate: a correlated burst window with the health
 # breaker armed must drive the full circuit lifecycle — demote on
@@ -186,14 +193,11 @@ cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/burst_rep.json
 # the fixture pair isolates the promote-rate gate (a run whose breaker
 # never re-promotes) and the stage-level attribution of a regressed
 # mean (the rdma leg grew; the diff must say so)
-dout="$(cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
+expect_exit 4 health.txt cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
     tests/golden/report_health_base.json tests/golden/report_health_regressed.json \
-    --threshold 10)" && {
-    echo "gdrprof diff missed the fixture promote-rate regression" >&2
-    exit 1
-}
-grep -q 'promote-rate' <<<"$dout"
-grep -q 'stage rdma' <<<"$dout"
+    --threshold 10
+grep -q 'promote-rate' "$tmp/health.txt"
+grep -q 'stage rdma' "$tmp/health.txt"
 
 # Timeline gate: the burst trace carries the windowed metrics plane —
 # gdrprof timeline must align the fault burst with a change-point, fold
@@ -213,16 +217,9 @@ grep -q '"name":"slo-violation"' "$tmp/burst.json"
 # SLO-violation-count gate: the fixture pair holds every latency and
 # fault metric flat while the candidate's windowed plane breaches more
 # budgets — diff must trip with the SLO-specific exit code 6.
-set +e
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
+expect_exit 6 slo.txt cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
     tests/golden/report_slo_base.json tests/golden/report_slo_regressed.json \
-    --threshold 10 > "$tmp/slo.txt"
-rc=$?
-set -e
-if [ "$rc" -ne 6 ]; then
-    echo "gdrprof diff slo gate: expected exit 6, got $rc" >&2
-    exit 1
-fi
+    --threshold 10
 grep -q 'slo-violations' "$tmp/slo.txt"
 grep -q 'REGRESSED' "$tmp/slo.txt"
 
@@ -316,16 +313,9 @@ cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/crash_rep.json
 # fault metric flat while the candidate converges its view slower and
 # leaves an eviction without a rejoin — diff must trip with the
 # membership-specific exit code 7.
-set +e
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
+expect_exit 7 member.txt cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
     tests/golden/report_membership_base.json tests/golden/report_membership_regressed.json \
-    --threshold 10 > "$tmp/member.txt"
-rc=$?
-set -e
-if [ "$rc" -ne 7 ]; then
-    echo "gdrprof diff membership gate: expected exit 7, got $rc" >&2
-    exit 1
-fi
+    --threshold 10
 grep -q 'membership (fail-stop view):' "$tmp/member.txt"
 grep -q 'unrecovered' "$tmp/member.txt"
 grep -q 'REGRESSED' "$tmp/member.txt"
@@ -388,16 +378,9 @@ cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/part_rep.json"
 # Partition-regression gate: the fixture pair holds every other metric
 # flat while the candidate heals its quorum-fenced view slower — diff
 # must trip with the partition-specific exit code 8.
-set +e
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
+expect_exit 8 part_diff.txt cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
     tests/golden/report_partition_base.json tests/golden/report_partition_regressed.json \
-    --threshold 10 > "$tmp/part_diff.txt"
-rc=$?
-set -e
-if [ "$rc" -ne 8 ]; then
-    echo "gdrprof diff partition gate: expected exit 8, got $rc" >&2
-    exit 1
-fi
+    --threshold 10
 grep -q 'partitions (quorum-fenced view):' "$tmp/part_diff.txt"
 grep -q 'heal-convergence' "$tmp/part_diff.txt"
 grep -q 'REGRESSED' "$tmp/part_diff.txt"

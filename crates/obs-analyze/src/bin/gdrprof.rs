@@ -8,8 +8,10 @@
 //! gdrprof timeline <trace.json> [--window <us>] [--json <out.json>]
 //! ```
 //!
-//! `diff` accepts either raw Chrome traces or `gdrprof-report-v2`
-//! (and legacy v1) JSON files; traces are analyzed on the fly.
+//! `diff` accepts either raw Chrome traces or `gdrprof-report-v2` JSON
+//! files; traces are analyzed on the fly, and a report file of any
+//! other schema is rejected (exit 2). `--json` writes the comparison as
+//! a `gdrprof-diff-v2` document.
 //! `crossover` reconstructs per-configuration latency curves and the
 //! observed protocol-switch points; `--suggest` writes the estimated
 //! true crossovers as a `thresholds-v1` artifact. `whatif` replays the
@@ -62,7 +64,7 @@ fn fail(code: u8, msg: &str) -> ExitCode {
     ExitCode::from(code)
 }
 
-/// Load a report file (v2 or legacy v1) or analyze a raw trace.
+/// Load a `gdrprof-report-v2` file or analyze a raw trace.
 fn load_report(path: &str) -> Result<Report, String> {
     let doc =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -150,22 +152,10 @@ fn cmd_diff(args: &[String]) -> ExitCode {
             return fail(2, &format!("cannot write {out}: {e}"));
         }
     }
-    if d.latency_regressions() > 0 {
-        return fail(4, "regression over threshold");
+    match d.exit_code() {
+        0 => ExitCode::SUCCESS,
+        code => fail(code, "diff found a regression"),
     }
-    if d.contention_regressions() > 0 {
-        return fail(5, "link-contention regression over threshold");
-    }
-    if d.slo_regressions() > 0 {
-        return fail(6, "slo-violation-count regression");
-    }
-    if d.membership_regressions() > 0 {
-        return fail(7, "membership (fail-stop view) regression");
-    }
-    if d.partition_regressions() > 0 {
-        return fail(8, "partition (quorum-fenced view) regression");
-    }
-    ExitCode::SUCCESS
 }
 
 fn cmd_timeline(args: &[String]) -> ExitCode {

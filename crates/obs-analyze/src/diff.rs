@@ -1,29 +1,232 @@
 //! A/B comparison of two reports with a regression threshold.
 //!
 //! `gdrprof diff baseline.json candidate.json --threshold 10` compares
-//! mean critical-path latency per `op/protocol` key and flags any key
-//! whose candidate mean exceeds the baseline by more than the threshold
-//! percentage. The process exit code gates CI on the result.
+//! every gated metric of the two reports: mean critical-path latency
+//! per `op/protocol` key, plus the fault, contention, SLO, membership
+//! and partition rollups. [`SECTIONS`] lists those metrics in render
+//! order, each with the [`Rule`] that decides a regression and the exit
+//! code it trips; [`DiffReport::exit_code`] gates CI on the result.
 
-use crate::report::{ProtoStat, Report};
+use crate::report::{LinkStat, ProtoStat, Report};
 use obs::json::ObjWriter;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// One `op/protocol` key present in either report.
+/// How a section decides that the candidate (`b`) regressed against
+/// the baseline (`a`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Rule {
+    /// A microsecond metric: regressed when `b` exceeds `a` by more
+    /// than the threshold, as a percentage of `a`.
+    Relative,
+    /// A 0..=1 fraction where lower is worse: regressed when it fell by
+    /// more than the threshold, in percentage points.
+    PointsDrop,
+    /// A 0..=1 fraction where higher is worse: regressed when it rose by
+    /// more than the threshold, in percentage points.
+    PointsRise,
+    /// An event count: regressed whenever `b` exceeds `a`.
+    CountGrows,
+}
+
+impl Rule {
+    /// Signed change from `a` to `b` in the rule's unit (percent of `a`,
+    /// percentage points, or events); `None` when a side is missing or
+    /// a relative change has no base.
+    fn delta(self, a: Option<f64>, b: Option<f64>) -> Option<f64> {
+        let (a, b) = (a?, b?);
+        match self {
+            Rule::Relative if a > 0.0 => Some((b - a) / a * 100.0),
+            Rule::Relative => None,
+            Rule::PointsDrop | Rule::PointsRise => Some((b - a) * 100.0),
+            Rule::CountGrows => Some(b - a),
+        }
+    }
+
+    fn regressed(self, delta: Option<f64>, threshold_pct: f64) -> bool {
+        delta.is_some_and(|d| match self {
+            Rule::Relative | Rule::PointsRise => d > threshold_pct,
+            Rule::PointsDrop => -d > threshold_pct,
+            Rule::CountGrows => d > 0.0,
+        })
+    }
+
+    fn show(self, v: Option<f64>) -> String {
+        match (self, v) {
+            (_, None) => "-".to_string(),
+            (Rule::Relative, Some(us)) => format!("{us:.3}us"),
+            (Rule::PointsDrop | Rule::PointsRise, Some(f)) => format!("{:.1}%", f * 100.0),
+            (Rule::CountGrows, Some(n)) => format!("{n}"),
+        }
+    }
+
+    fn show_delta(self, d: Option<f64>) -> String {
+        match (self, d) {
+            (_, None) => "n/a".to_string(),
+            (Rule::Relative, Some(d)) => format!("{d:+.1}%"),
+            (Rule::PointsDrop | Rule::PointsRise, Some(d)) => format!("{d:+.1}pp"),
+            (Rule::CountGrows, Some(d)) => format!("{d:+}"),
+        }
+    }
+}
+
+/// One report's view of a section: key -> (value, whether that report
+/// exercised the metric at all).
+type Side = BTreeMap<String, (f64, bool)>;
+
+/// Every entry of a per-key report section, read by `f`.
+fn per_key<V>(map: &BTreeMap<String, V>, f: impl Fn(&V) -> (f64, bool)) -> Side {
+    map.iter().map(|(k, v)| (k.clone(), f(v))).collect()
+}
+
+/// A whole-report metric: a single key.
+fn one(key: &str, value: f64, active: bool) -> Side {
+    [(key.to_string(), (value, active))].into()
+}
+
+/// One gated metric of the diff.
+#[derive(Debug)]
+pub struct Section {
+    /// Section name on JSON rows; the two metrics of the membership
+    /// and partition rollups share one.
+    pub name: &'static str,
+    /// Text heading above the section's rows, printed once for a run of
+    /// sections that share it (latency rows have none).
+    pub title: &'static str,
+    pub rule: Rule,
+    /// `gdrprof diff` exit code when a row of this section regresses.
+    pub gate: u8,
+    /// Value of a key only the other report has: what an idle metric
+    /// reads, or `None` for the latency of a new or vanished op.
+    absent: Option<f64>,
+    /// The section's values in one report.
+    side: fn(&Report) -> Side,
+}
+
+/// Every gated metric, in render order (gates never decrease).
+pub const SECTIONS: [Section; 10] = [
+    Section {
+        name: "latency",
+        title: "",
+        rule: Rule::Relative,
+        gate: 4,
+        absent: None,
+        side: |r| per_key(&r.protocols, |s| (s.mean_us(), true)),
+    },
+    Section {
+        name: "recovery",
+        title: "recovery-rate:",
+        rule: Rule::PointsDrop,
+        gate: 4,
+        absent: Some(1.0),
+        side: |r| per_key(&r.faults, |f| (f.recovery_rate(), f.faulted_ops > 0)),
+    },
+    Section {
+        name: "partial",
+        title: "partial-delivery (bytes landed):",
+        rule: Rule::PointsDrop,
+        gate: 4,
+        absent: Some(1.0),
+        side: |r| per_key(&r.faults, |f| (f.delivered_fraction(), f.partials > 0)),
+    },
+    Section {
+        name: "health",
+        title: "promote-rate (demotions recovered):",
+        rule: Rule::PointsDrop,
+        gate: 4,
+        absent: Some(1.0),
+        side: |r| per_key(&r.health, |h| (h.promote_rate(), h.demotes > 0)),
+    },
+    Section {
+        name: "contention",
+        title: "link-contention (fraction of trace contended):",
+        rule: Rule::PointsRise,
+        gate: 5,
+        absent: Some(0.0),
+        side: |r| {
+            let frac = |l: &LinkStat| l.contended_fraction(r.trace_span_us);
+            per_key(&r.links, |l| (frac(l), l.contended_windows > 0))
+        },
+    },
+    Section {
+        name: "slo",
+        title: "slo-violations (windowed metrics):",
+        rule: Rule::CountGrows,
+        gate: 6,
+        absent: None,
+        side: |r| one("violations", r.slo_violations as f64, r.windows > 0),
+    },
+    Section {
+        name: "membership",
+        title: "membership (fail-stop view):",
+        rule: Rule::Relative,
+        gate: 7,
+        absent: None,
+        side: |r| {
+            let m = &r.membership;
+            one("view-convergence", m.convergence_us, m.pe_dead > 0)
+        },
+    },
+    Section {
+        name: "membership",
+        title: "membership (fail-stop view):",
+        rule: Rule::CountGrows,
+        gate: 7,
+        absent: None,
+        side: |r| {
+            let m = &r.membership;
+            let unrecovered = m.evicts.saturating_sub(m.rejoins) as f64;
+            one("unrecovered-evictions", unrecovered, m.pe_dead > 0)
+        },
+    },
+    Section {
+        name: "partitions",
+        title: "partitions (quorum-fenced view):",
+        rule: Rule::Relative,
+        gate: 8,
+        absent: None,
+        side: |r| {
+            let p = &r.partitions;
+            one("heal-convergence", p.heal_convergence_us, p.fences > 0)
+        },
+    },
+    Section {
+        name: "partitions",
+        title: "partitions (quorum-fenced view):",
+        rule: Rule::CountGrows,
+        gate: 8,
+        absent: None,
+        side: |r| {
+            let p = &r.partitions;
+            let unhealed = p.fences.saturating_sub(p.heals) as f64;
+            one("unhealed-fences", unhealed, p.fences > 0)
+        },
+    },
+];
+
+/// One compared metric: a key of one [`Section`] in either report.
 #[derive(Clone, Debug)]
 pub struct DiffRow {
+    pub section: &'static Section,
     pub key: String,
-    /// Mean critical-path us in the baseline; `None` if the key is new.
-    pub a_mean_us: Option<f64>,
-    /// Mean critical-path us in the candidate; `None` if it vanished.
-    pub b_mean_us: Option<f64>,
-    /// Percent change (positive = slower), when both sides exist.
-    pub delta_pct: Option<f64>,
+    /// Baseline value; `None` when a latency key is new.
+    pub a: Option<f64>,
+    /// Candidate value; `None` when a latency key vanished.
+    pub b: Option<f64>,
     pub regressed: bool,
-    /// When the row regressed and both sides carry per-stage busy time:
-    /// the pipeline stage whose per-op mean grew the most — where the
-    /// regression actually lives (d2h staging? rdma leg? wakeup?).
+    /// On a regressed latency row whose sides both carry per-stage busy
+    /// time: the pipeline stage whose per-op mean grew the most, i.e.
+    /// where the regression actually lives (d2h staging? rdma leg?
+    /// wakeup?).
     pub stage: Option<StageDelta>,
+}
+
+impl DiffRow {
+    /// Signed change in the section rule's unit: percent, percentage
+    /// points, or events.
+    pub fn delta(&self) -> Option<f64> {
+        self.section.rule.delta(self.a, self.b)
+    }
 }
 
 /// Stage-level attribution of a regressed row.
@@ -36,183 +239,28 @@ pub struct StageDelta {
     pub b_us: f64,
 }
 
-/// Recovery-rate comparison for one protocol's fault machinery.
-#[derive(Clone, Debug)]
-pub struct RecoveryRow {
-    pub protocol: String,
-    /// Baseline recovery rate (0..=1).
-    pub a_rate: f64,
-    /// Candidate recovery rate (0..=1).
-    pub b_rate: f64,
-    pub regressed: bool,
-}
-
-/// Partial-delivery comparison for one protocol: the fraction of the
-/// requested bytes that actually landed across partial outcomes.
-#[derive(Clone, Debug)]
-pub struct PartialRow {
-    pub protocol: String,
-    /// Baseline delivered fraction (0..=1; 1.0 with no partials).
-    pub a_fraction: f64,
-    /// Candidate delivered fraction.
-    pub b_fraction: f64,
-    pub regressed: bool,
-}
-
-/// Promote-rate comparison for one protocol's circuit breaker: of the
-/// demotions each run saw, what fraction were recovered (promoted)
-/// before the trace ended.
-#[derive(Clone, Debug)]
-pub struct HealthRow {
-    pub protocol: String,
-    /// Baseline promote rate (0..=1; 1.0 with no demotions).
-    pub a_rate: f64,
-    /// Candidate promote rate.
-    pub b_rate: f64,
-    pub regressed: bool,
-}
-
-/// SLO watchdog comparison: total `slo-violation` instants each run's
-/// windowed metrics plane recorded. The candidate must not violate
-/// more budgets than the baseline — this is a count gate, not a
-/// threshold gate, and trips exit code 6.
-#[derive(Clone, Debug)]
-pub struct SloRow {
-    pub a_windows: u64,
-    pub b_windows: u64,
-    pub a_violations: u64,
-    pub b_violations: u64,
-    pub regressed: bool,
-}
-
-/// Fail-stop membership comparison: view-convergence time and
-/// unrecovered evictions. The candidate must not converge slower than
-/// the baseline (beyond the threshold, relative) and must not leave
-/// more evictions without a matching rejoin. A membership regression
-/// trips exit code 7.
-#[derive(Clone, Debug)]
-pub struct MembershipRow {
-    /// Baseline worst view-convergence time, microseconds.
-    pub a_convergence_us: f64,
-    /// Candidate worst view-convergence time.
-    pub b_convergence_us: f64,
-    /// Baseline evictions never followed by a rejoin.
-    pub a_unrecovered: u64,
-    /// Candidate evictions never followed by a rejoin.
-    pub b_unrecovered: u64,
-    pub regressed: bool,
-}
-
-/// Network-partition comparison: heal-convergence time and unhealed
-/// fences. The candidate must not merge its view back slower than the
-/// baseline (beyond the threshold, relative) and must not leave more
-/// quorum fences without a matching heal. A partition regression trips
-/// exit code 8.
-#[derive(Clone, Debug)]
-pub struct PartitionRow {
-    /// Baseline worst heal-convergence time, microseconds.
-    pub a_heal_us: f64,
-    /// Candidate worst heal-convergence time.
-    pub b_heal_us: f64,
-    /// Baseline fences never followed by a heal.
-    pub a_unhealed: u64,
-    /// Candidate fences never followed by a heal.
-    pub b_unhealed: u64,
-    pub regressed: bool,
-}
-
-/// Link-contention comparison for one hardware link track: the fraction
-/// of the trace each run spent with the link's queue depth >= 2.
-#[derive(Clone, Debug)]
-pub struct ContentionRow {
-    pub link: String,
-    /// Baseline contended fraction (0..=1).
-    pub a_frac: f64,
-    /// Candidate contended fraction.
-    pub b_frac: f64,
-    pub regressed: bool,
-}
-
 #[derive(Clone, Debug, Default)]
 pub struct DiffReport {
     pub threshold_pct: f64,
+    /// Rows in [`SECTIONS`] order, sorted by key within a section.
     pub rows: Vec<DiffRow>,
-    /// Present when either side recorded fault machinery: the candidate
-    /// must not recover a smaller fraction of faulted ops than the
-    /// baseline (beyond the threshold, in percentage points).
-    pub recovery: Vec<RecoveryRow>,
-    /// Present when either side recorded partial deliveries: the
-    /// candidate must not deliver a smaller fraction of the requested
-    /// bytes than the baseline (beyond the threshold, in percentage
-    /// points).
-    pub partial: Vec<PartialRow>,
-    /// Present when either side demoted a protocol: the candidate must
-    /// not promote back a smaller fraction of its demotions than the
-    /// baseline (beyond the threshold, in percentage points).
-    pub health: Vec<HealthRow>,
-    /// Present when either side sampled link utilization: the candidate
-    /// must not spend a larger fraction of its trace contended (queue
-    /// depth >= 2) than the baseline, beyond the threshold in
-    /// percentage points. Contention-only regressions exit with code 5
-    /// rather than 4 — a throughput early-warning, distinct from a
-    /// latency regression.
-    pub contention: Vec<ContentionRow>,
-    /// Present when either side recorded windowed metrics: the
-    /// candidate must not record more SLO violations than the
-    /// baseline. A violation-count regression exits with code 6.
-    pub slo: Option<SloRow>,
-    /// Present when either side observed a fail-stop eviction: the
-    /// candidate must not converge its membership view slower than the
-    /// baseline nor leave more evictions unrecovered. A membership
-    /// regression exits with code 7.
-    pub membership: Option<MembershipRow>,
-    /// Present when either side observed a quorum fence: the candidate
-    /// must not heal slower than the baseline nor leave more fences
-    /// unhealed. A partition regression exits with code 8.
-    pub partition: Option<PartitionRow>,
 }
 
 impl DiffReport {
     pub fn regressions(&self) -> usize {
-        self.latency_regressions()
-            + self.contention_regressions()
-            + self.slo_regressions()
-            + self.membership_regressions()
-            + self.partition_regressions()
-    }
-
-    /// Regressed rows in the latency/recovery/partial/health sections —
-    /// everything except link contention.
-    pub fn latency_regressions(&self) -> usize {
         self.rows.iter().filter(|r| r.regressed).count()
-            + self.recovery.iter().filter(|r| r.regressed).count()
-            + self.partial.iter().filter(|r| r.regressed).count()
-            + self.health.iter().filter(|r| r.regressed).count()
     }
 
-    /// Regressed link-contention rows (the exit-code-5 gate).
-    pub fn contention_regressions(&self) -> usize {
-        self.contention.iter().filter(|r| r.regressed).count()
-    }
-
-    /// SLO violation-count regressions (the exit-code-6 gate): 1 when
-    /// the candidate violated more budgets than the baseline.
-    pub fn slo_regressions(&self) -> usize {
-        usize::from(self.slo.as_ref().is_some_and(|s| s.regressed))
-    }
-
-    /// Membership regressions (the exit-code-7 gate): 1 when the
-    /// candidate converged its view slower than the baseline or left
-    /// more evictions unrecovered.
-    pub fn membership_regressions(&self) -> usize {
-        usize::from(self.membership.as_ref().is_some_and(|m| m.regressed))
-    }
-
-    /// Partition regressions (the exit-code-8 gate): 1 when the
-    /// candidate healed its quorum-fenced view slower than the baseline
-    /// or left more fences unhealed.
-    pub fn partition_regressions(&self) -> usize {
-        usize::from(self.partition.as_ref().is_some_and(|p| p.regressed))
+    /// The `gdrprof diff` exit code: the lowest gate among regressed
+    /// rows (4 latency/fault, 5 contention, 6 SLO, 7 membership, 8
+    /// partition), or 0 when nothing regressed.
+    pub fn exit_code(&self) -> u8 {
+        self.rows
+            .iter()
+            .filter(|r| r.regressed)
+            .map(|r| r.section.gate)
+            .min()
+            .unwrap_or(0)
     }
 
     pub fn text(&self) -> String {
@@ -222,22 +270,21 @@ impl DiffReport {
             "gdrprof diff (regression threshold {:.1}%)",
             self.threshold_pct
         );
+        let mut title = "";
         for r in &self.rows {
-            let fmt_side = |m: Option<f64>| match m {
-                Some(us) => format!("{us:.3}us"),
-                None => "-".to_string(),
-            };
-            let delta = match r.delta_pct {
-                Some(d) => format!("{d:+.1}%"),
-                None => "n/a".to_string(),
-            };
+            if r.section.title != title {
+                title = r.section.title;
+                let _ = writeln!(s, "{title}");
+            }
+            let rule = r.section.rule;
             let mark = if r.regressed { "  REGRESSED" } else { "" };
             let _ = writeln!(
                 s,
-                "  {:<28} a {:<12} b {:<12} {delta}{mark}",
+                "  {:<28} a {:<12} b {:<12} {}{mark}",
                 r.key,
-                fmt_side(r.a_mean_us),
-                fmt_side(r.b_mean_us),
+                rule.show(r.a),
+                rule.show(r.b),
+                rule.show_delta(r.delta()),
             );
             if let Some(sd) = &r.stage {
                 let _ = writeln!(
@@ -247,104 +294,17 @@ impl DiffReport {
                 );
             }
         }
-        if !self.recovery.is_empty() {
-            let _ = writeln!(s, "recovery-rate:");
-            for r in &self.recovery {
-                let mark = if r.regressed { "  REGRESSED" } else { "" };
-                let _ = writeln!(
-                    s,
-                    "  {:<28} a {:>6.1}%      b {:>6.1}%{mark}",
-                    r.protocol,
-                    r.a_rate * 100.0,
-                    r.b_rate * 100.0,
-                );
-            }
-        }
-        if !self.partial.is_empty() {
-            let _ = writeln!(s, "partial-delivery (bytes landed):");
-            for r in &self.partial {
-                let mark = if r.regressed { "  REGRESSED" } else { "" };
-                let _ = writeln!(
-                    s,
-                    "  {:<28} a {:>6.1}%      b {:>6.1}%{mark}",
-                    r.protocol,
-                    r.a_fraction * 100.0,
-                    r.b_fraction * 100.0,
-                );
-            }
-        }
-        if !self.health.is_empty() {
-            let _ = writeln!(s, "promote-rate (demotions recovered):");
-            for r in &self.health {
-                let mark = if r.regressed { "  REGRESSED" } else { "" };
-                let _ = writeln!(
-                    s,
-                    "  {:<28} a {:>6.1}%      b {:>6.1}%{mark}",
-                    r.protocol,
-                    r.a_rate * 100.0,
-                    r.b_rate * 100.0,
-                );
-            }
-        }
-        if !self.contention.is_empty() {
-            let _ = writeln!(s, "link-contention (fraction of trace contended):");
-            for r in &self.contention {
-                let mark = if r.regressed { "  REGRESSED" } else { "" };
-                let _ = writeln!(
-                    s,
-                    "  {:<28} a {:>6.1}%      b {:>6.1}%{mark}",
-                    r.link,
-                    r.a_frac * 100.0,
-                    r.b_frac * 100.0,
-                );
-            }
-        }
-        if let Some(slo) = &self.slo {
-            let mark = if slo.regressed { "  REGRESSED" } else { "" };
-            let _ = writeln!(s, "slo-violations (windowed metrics):");
-            let _ = writeln!(
-                s,
-                "  {:<28} a {:<5} in {:<4} windows  b {:<5} in {:<4} windows{mark}",
-                "violations", slo.a_violations, slo.a_windows, slo.b_violations, slo.b_windows,
-            );
-        }
-        if let Some(m) = &self.membership {
-            let mark = if m.regressed { "  REGRESSED" } else { "" };
-            let _ = writeln!(s, "membership (fail-stop view):");
-            let _ = writeln!(
-                s,
-                "  {:<28} a {:.3}us / {} unrecovered  b {:.3}us / {} unrecovered{mark}",
-                "view-convergence",
-                m.a_convergence_us,
-                m.a_unrecovered,
-                m.b_convergence_us,
-                m.b_unrecovered,
-            );
-        }
-        if let Some(p) = &self.partition {
-            let mark = if p.regressed { "  REGRESSED" } else { "" };
-            let _ = writeln!(s, "partitions (quorum-fenced view):");
-            let _ = writeln!(
-                s,
-                "  {:<28} a {:.3}us / {} unhealed  b {:.3}us / {} unhealed{mark}",
-                "heal-convergence",
-                p.a_heal_us,
-                p.a_unhealed,
-                p.b_heal_us,
-                p.b_unhealed,
-            );
-        }
         let _ = writeln!(s, "regressions: {}", self.regressions());
         s
     }
 
-    /// Machine-readable rendering of the diff (`gdrprof diff --json`).
-    /// Deterministic field order and float formatting, like
-    /// [`Report::to_json`].
+    /// Machine-readable rendering of the diff (`gdrprof diff --json`):
+    /// the `gdrprof-diff-v2` document. Deterministic field order and
+    /// float formatting, like [`Report::to_json`].
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
         let mut o = ObjWriter::new(&mut out);
-        o.str_field("schema", "gdrprof-diff-v1");
+        o.str_field("schema", "gdrprof-diff-v2");
         o.num_field("threshold_pct", self.threshold_pct);
         {
             let buf = o.raw_field("rows");
@@ -354,24 +314,15 @@ impl DiffReport {
                     buf.push(',');
                 }
                 let mut e = ObjWriter::new(buf);
-                e.str_field("key", &r.key);
-                match r.a_mean_us {
-                    Some(v) => {
-                        e.num_field("a_mean_us", v);
+                e.str_field("section", r.section.name)
+                    .str_field("key", &r.key);
+                for (k, v) in [("a", r.a), ("b", r.b), ("delta", r.delta())] {
+                    match v {
+                        Some(v) => {
+                            e.num_field(k, v);
+                        }
+                        None => e.raw_field(k).push_str("null"),
                     }
-                    None => e.raw_field("a_mean_us").push_str("null"),
-                }
-                match r.b_mean_us {
-                    Some(v) => {
-                        e.num_field("b_mean_us", v);
-                    }
-                    None => e.raw_field("b_mean_us").push_str("null"),
-                }
-                match r.delta_pct {
-                    Some(v) => {
-                        e.num_field("delta_pct", v);
-                    }
-                    None => e.raw_field("delta_pct").push_str("null"),
                 }
                 e.bool_field("regressed", r.regressed);
                 if let Some(sd) = &r.stage {
@@ -386,94 +337,8 @@ impl DiffReport {
             }
             buf.push(']');
         }
-        {
-            let buf = o.raw_field("recovery");
-            let mut rj = ObjWriter::new(buf);
-            for r in &self.recovery {
-                let buf = rj.raw_field(&r.protocol);
-                let mut e = ObjWriter::new(buf);
-                e.num_field("a_rate", r.a_rate)
-                    .num_field("b_rate", r.b_rate)
-                    .bool_field("regressed", r.regressed);
-                e.finish();
-            }
-            rj.finish();
-        }
-        {
-            let buf = o.raw_field("partial");
-            let mut pj = ObjWriter::new(buf);
-            for r in &self.partial {
-                let buf = pj.raw_field(&r.protocol);
-                let mut e = ObjWriter::new(buf);
-                e.num_field("a_fraction", r.a_fraction)
-                    .num_field("b_fraction", r.b_fraction)
-                    .bool_field("regressed", r.regressed);
-                e.finish();
-            }
-            pj.finish();
-        }
-        {
-            let buf = o.raw_field("health");
-            let mut hj = ObjWriter::new(buf);
-            for r in &self.health {
-                let buf = hj.raw_field(&r.protocol);
-                let mut e = ObjWriter::new(buf);
-                e.num_field("a_rate", r.a_rate)
-                    .num_field("b_rate", r.b_rate)
-                    .bool_field("regressed", r.regressed);
-                e.finish();
-            }
-            hj.finish();
-        }
-        {
-            let buf = o.raw_field("contention");
-            let mut cj = ObjWriter::new(buf);
-            for r in &self.contention {
-                let buf = cj.raw_field(&r.link);
-                let mut e = ObjWriter::new(buf);
-                e.num_field("a_frac", r.a_frac)
-                    .num_field("b_frac", r.b_frac)
-                    .bool_field("regressed", r.regressed);
-                e.finish();
-            }
-            cj.finish();
-        }
-        if let Some(slo) = &self.slo {
-            let buf = o.raw_field("slo");
-            let mut sj = ObjWriter::new(buf);
-            sj.u64_field("a_windows", slo.a_windows)
-                .u64_field("b_windows", slo.b_windows)
-                .u64_field("a_violations", slo.a_violations)
-                .u64_field("b_violations", slo.b_violations)
-                .bool_field("regressed", slo.regressed);
-            sj.finish();
-        }
-        if let Some(m) = &self.membership {
-            let buf = o.raw_field("membership");
-            let mut mj = ObjWriter::new(buf);
-            mj.num_field("a_convergence_us", m.a_convergence_us)
-                .num_field("b_convergence_us", m.b_convergence_us)
-                .u64_field("a_unrecovered", m.a_unrecovered)
-                .u64_field("b_unrecovered", m.b_unrecovered)
-                .bool_field("regressed", m.regressed);
-            mj.finish();
-        }
-        if let Some(p) = &self.partition {
-            let buf = o.raw_field("partition");
-            let mut pj = ObjWriter::new(buf);
-            pj.num_field("a_heal_us", p.a_heal_us)
-                .num_field("b_heal_us", p.b_heal_us)
-                .u64_field("a_unhealed", p.a_unhealed)
-                .u64_field("b_unhealed", p.b_unhealed)
-                .bool_field("regressed", p.regressed);
-            pj.finish();
-        }
-        o.u64_field("latency_regressions", self.latency_regressions() as u64);
-        o.u64_field("contention_regressions", self.contention_regressions() as u64);
-        o.u64_field("slo_regressions", self.slo_regressions() as u64);
-        o.u64_field("membership_regressions", self.membership_regressions() as u64);
-        o.u64_field("partition_regressions", self.partition_regressions() as u64);
         o.u64_field("regressions", self.regressions() as u64);
+        o.u64_field("exit_code", self.exit_code() as u64);
         o.finish();
         out
     }
@@ -498,7 +363,7 @@ fn attribute_stage(a: Option<&ProtoStat>, b: Option<&ProtoStat>) -> Option<Stage
         (Some(a), Some(b)) => (a, b),
         _ => return None,
     };
-    let am: std::collections::BTreeMap<String, f64> = stage_means(a).into_iter().collect();
+    let am: BTreeMap<String, f64> = stage_means(a).into_iter().collect();
     let mut best: Option<StageDelta> = None;
     for (stage, b_us) in stage_means(b) {
         let a_us = am.get(&stage).copied().unwrap_or(0.0);
@@ -511,245 +376,46 @@ fn attribute_stage(a: Option<&ProtoStat>, b: Option<&ProtoStat>) -> Option<Stage
             None => true,
         };
         if better {
-            best = Some(StageDelta {
-                stage,
-                a_us,
-                b_us,
-            });
+            best = Some(StageDelta { stage, a_us, b_us });
         }
     }
     best
 }
 
-/// Compare per-`op/protocol` mean critical-path latency of `b` (the
-/// candidate) against `a` (the baseline).
+/// Compare every gated metric of `b` (the candidate) against `a` (the
+/// baseline).
 pub fn diff(a: &Report, b: &Report, threshold_pct: f64) -> DiffReport {
-    let mut keys: Vec<&String> = a.protocols.keys().collect();
-    for k in b.protocols.keys() {
-        if !a.protocols.contains_key(k) {
-            keys.push(k);
-        }
-    }
-    keys.sort();
-    let rows = keys
-        .into_iter()
-        .map(|k| {
-            let am = a.protocols.get(k).map(|s| s.mean_us());
-            let bm = b.protocols.get(k).map(|s| s.mean_us());
-            let delta_pct = match (am, bm) {
-                (Some(am), Some(bm)) if am > 0.0 => Some((bm - am) / am * 100.0),
-                _ => None,
-            };
-            let regressed = delta_pct.is_some_and(|d| d > threshold_pct);
-            let stage = if regressed {
-                attribute_stage(a.protocols.get(k), b.protocols.get(k))
+    let mut rows = Vec::new();
+    for section in &SECTIONS {
+        let (sa, sb) = ((section.side)(a), (section.side)(b));
+        let keys: BTreeSet<&String> = sa.keys().chain(sb.keys()).collect();
+        for key in keys {
+            let (va, vb) = (sa.get(key), sb.get(key));
+            // a metric neither run exercised produces no row
+            if !(va.is_some_and(|v| v.1) || vb.is_some_and(|v| v.1)) {
+                continue;
+            }
+            let av = va.map_or(section.absent, |v| Some(v.0));
+            let bv = vb.map_or(section.absent, |v| Some(v.0));
+            let rule = section.rule;
+            let regressed = rule.regressed(rule.delta(av, bv), threshold_pct);
+            let stage = if regressed && section.name == "latency" {
+                attribute_stage(a.protocols.get(key), b.protocols.get(key))
             } else {
                 None
             };
-            DiffRow {
-                key: k.clone(),
-                a_mean_us: am,
-                b_mean_us: bm,
-                delta_pct,
+            rows.push(DiffRow {
+                section,
+                key: key.clone(),
+                a: av,
+                b: bv,
                 regressed,
                 stage,
-            }
-        })
-        .collect();
-    let mut fkeys: Vec<&String> = a.faults.keys().collect();
-    for k in b.faults.keys() {
-        if !a.faults.contains_key(k) {
-            fkeys.push(k);
+            });
         }
     }
-    fkeys.sort();
-    let recovery = fkeys
-        .into_iter()
-        .filter(|k| {
-            a.faults.get(*k).is_some_and(|f| f.faulted_ops > 0)
-                || b.faults.get(*k).is_some_and(|f| f.faulted_ops > 0)
-        })
-        .map(|k| {
-            let ar = a.faults.get(k).map_or(1.0, |f| f.recovery_rate());
-            let br = b.faults.get(k).map_or(1.0, |f| f.recovery_rate());
-            // regressed when the candidate recovers a smaller fraction of
-            // faulted ops, by more than the threshold in percentage points
-            let regressed = (ar - br) * 100.0 > threshold_pct;
-            RecoveryRow {
-                protocol: k.clone(),
-                a_rate: ar,
-                b_rate: br,
-                regressed,
-            }
-        })
-        .collect();
-    // delivered-byte fraction across partial outcomes; a protocol with
-    // no partials on either side produces no row
-    let delivered_fraction = |r: &Report, k: &String| {
-        r.faults.get(k).map_or(1.0, |f| {
-            if f.partial_total == 0 {
-                1.0
-            } else {
-                f.partial_delivered as f64 / f.partial_total as f64
-            }
-        })
-    };
-    let mut pkeys: Vec<&String> = a.faults.keys().collect();
-    for k in b.faults.keys() {
-        if !a.faults.contains_key(k) {
-            pkeys.push(k);
-        }
-    }
-    pkeys.sort();
-    let partial = pkeys
-        .into_iter()
-        .filter(|k| {
-            a.faults.get(*k).is_some_and(|f| f.partials > 0)
-                || b.faults.get(*k).is_some_and(|f| f.partials > 0)
-        })
-        .map(|k| {
-            let af = delivered_fraction(a, k);
-            let bf = delivered_fraction(b, k);
-            let regressed = (af - bf) * 100.0 > threshold_pct;
-            PartialRow {
-                protocol: k.clone(),
-                a_fraction: af,
-                b_fraction: bf,
-                regressed,
-            }
-        })
-        .collect();
-    // promote-rate across the breaker lifecycle; a protocol with no
-    // demotions on either side produces no row
-    let mut hkeys: Vec<&String> = a.health.keys().collect();
-    for k in b.health.keys() {
-        if !a.health.contains_key(k) {
-            hkeys.push(k);
-        }
-    }
-    hkeys.sort();
-    let health = hkeys
-        .into_iter()
-        .filter(|k| {
-            a.health.get(*k).is_some_and(|h| h.demotes > 0)
-                || b.health.get(*k).is_some_and(|h| h.demotes > 0)
-        })
-        .map(|k| {
-            let ar = a.health.get(k).map_or(1.0, |h| h.promote_rate());
-            let br = b.health.get(k).map_or(1.0, |h| h.promote_rate());
-            let regressed = (ar - br) * 100.0 > threshold_pct;
-            HealthRow {
-                protocol: k.clone(),
-                a_rate: ar,
-                b_rate: br,
-                regressed,
-            }
-        })
-        .collect();
-    // contended fraction of the trace per link track; a link with no
-    // contention on either side produces no row
-    let contended_frac = |r: &Report, k: &String| {
-        r.links.get(k).map_or(0.0, |l| {
-            if r.trace_span_us > 0.0 {
-                l.contended_us / r.trace_span_us
-            } else {
-                0.0
-            }
-        })
-    };
-    let mut lkeys: Vec<&String> = a.links.keys().collect();
-    for k in b.links.keys() {
-        if !a.links.contains_key(k) {
-            lkeys.push(k);
-        }
-    }
-    lkeys.sort();
-    let contention = lkeys
-        .into_iter()
-        .filter(|k| {
-            a.links.get(*k).is_some_and(|l| l.contended_windows > 0)
-                || b.links.get(*k).is_some_and(|l| l.contended_windows > 0)
-        })
-        .map(|k| {
-            let af = contended_frac(a, k);
-            let bf = contended_frac(b, k);
-            // regressed when the candidate spends a larger fraction of
-            // its trace contended, beyond the threshold in percentage
-            // points
-            let regressed = (bf - af) * 100.0 > threshold_pct;
-            ContentionRow {
-                link: k.clone(),
-                a_frac: af,
-                b_frac: bf,
-                regressed,
-            }
-        })
-        .collect();
-    // SLO violation counts from the windowed metrics plane; a pair
-    // with no windows on either side produces no section
-    let slo = if a.windows > 0 || b.windows > 0 {
-        Some(SloRow {
-            a_windows: a.windows,
-            b_windows: b.windows,
-            a_violations: a.slo_violations,
-            b_violations: b.slo_violations,
-            regressed: b.slo_violations > a.slo_violations,
-        })
-    } else {
-        None
-    };
-    // fail-stop membership: view-convergence time and unrecovered
-    // evictions; a pair with no evictions on either side produces no
-    // section
-    let membership = if a.membership.pe_dead > 0 || b.membership.pe_dead > 0 {
-        let am = &a.membership;
-        let bm = &b.membership;
-        let a_unrec = am.evicts.saturating_sub(am.rejoins);
-        let b_unrec = bm.evicts.saturating_sub(bm.rejoins);
-        // convergence regresses relative to the baseline (like the
-        // latency rows); unrecovered evictions regress on count
-        let conv_regressed = am.convergence_us > 0.0
-            && (bm.convergence_us - am.convergence_us) / am.convergence_us * 100.0
-                > threshold_pct;
-        Some(MembershipRow {
-            a_convergence_us: am.convergence_us,
-            b_convergence_us: bm.convergence_us,
-            a_unrecovered: a_unrec,
-            b_unrecovered: b_unrec,
-            regressed: conv_regressed || b_unrec > a_unrec,
-        })
-    } else {
-        None
-    };
-    // network partitions: heal-convergence time and unhealed fences; a
-    // pair with no fences on either side produces no section
-    let partition = if a.partitions.fences > 0 || b.partitions.fences > 0 {
-        let ap = &a.partitions;
-        let bp = &b.partitions;
-        let a_unhealed = ap.fences.saturating_sub(ap.heals);
-        let b_unhealed = bp.fences.saturating_sub(bp.heals);
-        let heal_regressed = ap.heal_convergence_us > 0.0
-            && (bp.heal_convergence_us - ap.heal_convergence_us) / ap.heal_convergence_us * 100.0
-                > threshold_pct;
-        Some(PartitionRow {
-            a_heal_us: ap.heal_convergence_us,
-            b_heal_us: bp.heal_convergence_us,
-            a_unhealed,
-            b_unhealed,
-            regressed: heal_regressed || b_unhealed > a_unhealed,
-        })
-    } else {
-        None
-    };
     DiffReport {
         threshold_pct,
         rows,
-        recovery,
-        partial,
-        health,
-        contention,
-        slo,
-        membership,
-        partition,
     }
 }

@@ -28,10 +28,7 @@ pub mod whatif;
 
 pub use campaign::{CampaignSummary, CampaignViolation, CAMPAIGN_SCHEMA};
 pub use crossover::{crossover, CrossoverPoint, CrossoverReport, CurvePoint};
-pub use diff::{
-    diff, ContentionRow, DiffReport, DiffRow, HealthRow, MembershipRow, PartialRow, PartitionRow,
-    RecoveryRow, SloRow, StageDelta,
-};
+pub use diff::{diff, DiffReport, DiffRow, Rule, Section, StageDelta};
 pub use report::{
     analyze, FaultStat, HealthStat, LinkStat, MemberStat, OpPath, PartitionStat, ProtoStat,
     QuantileStat, Report, RMA_OPS,
@@ -53,6 +50,14 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime(us * 1_000_000)
+    }
+
+    /// The diff rows of one section, in key order.
+    fn rows_of<'d>(d: &'d DiffReport, section: &str) -> Vec<&'d DiffRow> {
+        d.rows
+            .iter()
+            .filter(|r| r.section.name == section)
+            .collect()
     }
 
     /// A synthetic two-op trace: one small direct-GDR put (flow start +
@@ -267,37 +272,38 @@ mod tests {
     }
 
     #[test]
-    fn v1_golden_reports_rehydrate_compatibly() {
-        // the committed fixtures predate the v2 schema: they must keep
-        // loading, with the v2-only sections empty
-        for name in [
-            "report_recovery_base",
-            "report_recovery_regressed",
-            "report_partial_base",
-            "report_partial_regressed",
-            "report_health_base",
-            "report_health_regressed",
-        ] {
+    fn golden_report_pairs_rehydrate_and_trip_exactly_their_gate() {
+        let load = |name: &str| {
             let path = format!(
                 "{}/../../tests/golden/{name}.json",
                 env!("CARGO_MANIFEST_DIR")
             );
             let doc = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            let rep = Report::from_json_str(&doc)
-                .unwrap_or_else(|e| panic!("{name} must rehydrate: {e}"));
-            assert!(rep.ops_analyzed > 0, "{name}: ops_analyzed");
-            assert!(!rep.protocols.is_empty(), "{name}: protocols");
-            assert!(rep.quantiles.is_empty(), "{name}: v1 has no quantiles");
+            Report::from_json_str(&doc).unwrap_or_else(|e| panic!("{name} must rehydrate: {e}"))
+        };
+        // each committed pair isolates one exit-code gate of `gdrprof diff`
+        for (pair, code) in [
+            ("recovery", 4),
+            ("partial", 4),
+            ("health", 4),
+            ("contention", 5),
+            ("slo", 6),
+            ("membership", 7),
+            ("partition", 8),
+        ] {
+            let base = load(&format!("report_{pair}_base"));
+            let regressed = load(&format!("report_{pair}_regressed"));
+            assert_eq!(
+                diff(&base, &regressed, 10.0).exit_code(),
+                code,
+                "{pair} pair"
+            );
+            for side in [&base, &regressed] {
+                assert_eq!(diff(side, side, 10.0).exit_code(), 0, "{pair} self-diff");
+            }
         }
-        let base = Report::from_json_str(
-            &std::fs::read_to_string(format!(
-                "{}/../../tests/golden/report_recovery_base.json",
-                env!("CARGO_MANIFEST_DIR")
-            ))
-            .expect("fixture must be readable"),
-        )
-        .expect("recovery_base must rehydrate");
+        let base = load("report_recovery_base");
         assert_eq!(base.ops_analyzed, 10);
         assert!((base.trace_span_us - 100.0).abs() < 1e-9);
         assert_eq!(base.faults["host-rdma"].faulted_ops, 4);
@@ -305,6 +311,7 @@ mod tests {
 
     #[test]
     fn from_json_errors_name_the_missing_field() {
+        use obs::json::Value;
         let err = Report::from_json_str(r#"{"schema":"gdrprof-report-v2"}"#)
             .expect_err("missing trace_span_us must fail");
         assert!(err.contains("trace_span_us"), "{err}");
@@ -315,11 +322,43 @@ mod tests {
             .expect_err("unknown schema must fail");
         assert!(err.contains("gdrprof-report-v9"), "{err}");
         let err = Report::from_json_str(
-            r#"{"schema":"gdrprof-report-v2","trace_span_us":1,"ops_analyzed":1,
-               "protocols":{"put/x":{"count":"many"}}}"#,
+            r#"{"schema":"gdrprof-report-v1","trace_span_us":100.0,"ops_analyzed":10,
+               "flow":{"started":10,"matched":10,"linkage":1},"protocols":{},
+               "decisions":{},"faults":{},"links":{},"ops":[]}"#,
         )
-        .expect_err("mistyped count must fail");
+        .expect_err("a v1 report must fail");
+        assert!(err.contains("gdrprof-report-v1"), "{err}");
+        // every v2 section is required and strictly typed: break one
+        // field of a complete report at a time
+        let doc = analyze_str(&synthetic_trace())
+            .expect("trace must analyze")
+            .to_json();
+        let broken = |edit: fn(&mut std::collections::BTreeMap<String, Value>)| {
+            let mut v = obs::json::parse(&doc).expect("report JSON parses");
+            let Value::Obj(o) = &mut v else {
+                panic!("report JSON is an object")
+            };
+            edit(o);
+            Report::from_json(&v).expect_err("a broken report must fail")
+        };
+        let err = broken(|o| {
+            if let Some(Value::Obj(p)) = o.get_mut("protocols") {
+                if let Some(Value::Obj(st)) = p.values_mut().next() {
+                    st.insert("count".into(), Value::Str("many".into()));
+                }
+            }
+        });
         assert!(err.contains("count"), "{err}");
+        let err = broken(|o| {
+            if let Some(Value::Obj(m)) = o.get_mut("membership") {
+                m.insert("pe_dead".into(), Value::Str("1".into()));
+            }
+        });
+        assert!(err.contains("membership.pe_dead"), "{err}");
+        let err = broken(|o| {
+            o.remove("partitions");
+        });
+        assert!(err.contains("\"partitions\""), "{err}");
     }
 
     /// An inter-node D-D get sweep with enriched decision records: two
@@ -471,31 +510,33 @@ mod tests {
             .expect("link stat")
             .contended_us = a.trace_span_us * 0.40;
         let d = diff(&a, &b, 10.0);
-        assert_eq!(d.contention_regressions(), 1);
-        assert_eq!(d.latency_regressions(), 0, "contention-only regression");
+        assert_eq!(d.exit_code(), 5, "contention-only regression");
         assert_eq!(d.regressions(), 1);
-        let row = &d.contention[0];
-        assert!(row.regressed && row.b_frac > row.a_frac);
+        let row = rows_of(&d, "contention")[0];
+        assert!(row.regressed && row.b > row.a);
         assert!(d.text().contains("link-contention"), "{}", d.text());
-        // machine-readable: --json output splits the two gate counters
+        // machine-readable: --json output carries the rows and the gate
         let v = obs::json::parse(&d.to_json()).expect("diff JSON must reparse");
         assert_eq!(
             v.get("schema").and_then(|s| s.as_str()),
-            Some("gdrprof-diff-v1")
+            Some("gdrprof-diff-v2")
         );
+        assert_eq!(v.get("exit_code").and_then(|n| n.as_f64()), Some(5.0));
+        let rows = v.get("rows").and_then(|r| r.as_arr()).expect("rows array");
+        let regressed: Vec<_> = rows
+            .iter()
+            .filter(|r| r.get("regressed").and_then(|b| b.as_bool()) == Some(true))
+            .collect();
+        assert_eq!(regressed.len(), 1);
         assert_eq!(
-            v.get("contention_regressions").and_then(|n| n.as_f64()),
-            Some(1.0)
-        );
-        assert_eq!(
-            v.get("latency_regressions").and_then(|n| n.as_f64()),
-            Some(0.0)
+            regressed[0].get("section").and_then(|s| s.as_str()),
+            Some("contention")
         );
         // identity diff: the contended window exists on both sides but
         // nothing regresses
         let d2 = diff(&a, &a.clone(), 10.0);
-        assert_eq!(d2.regressions(), 0);
-        assert!(d2.contention.iter().all(|r| !r.regressed));
+        assert_eq!(d2.exit_code(), 0);
+        assert!(!rows_of(&d2, "contention").is_empty());
     }
 
     #[test]
@@ -602,9 +643,9 @@ mod tests {
         // candidate recovers none of its faulted ops
         b.faults.get_mut("direct-gdr").unwrap().recovered = 0;
         let d = diff(&a, &b, 10.0);
-        assert_eq!(d.regressions(), 1);
-        let row = &d.recovery[0];
-        assert!(row.regressed && row.b_rate < row.a_rate);
+        assert_eq!((d.regressions(), d.exit_code()), (1, 4));
+        let row = rows_of(&d, "recovery")[0];
+        assert!(row.regressed && row.b < row.a);
         assert!(d.text().contains("recovery-rate:"), "{}", d.text());
         // equal rates: no regression
         let d2 = diff(&a, &a.clone(), 10.0);
@@ -614,7 +655,7 @@ mod tests {
         let mut c = analyze_str(&synthetic_trace()).unwrap();
         c.faults.clear();
         let d3 = diff(&c, &c.clone(), 10.0);
-        assert!(d3.recovery.is_empty());
+        assert!(rows_of(&d3, "recovery").is_empty());
         assert!(!d3.text().contains("recovery-rate:"));
     }
 
@@ -674,21 +715,20 @@ mod tests {
         // candidate never promotes direct-gdr back
         b.health.get_mut("direct-gdr").unwrap().promotes = 0;
         let d = diff(&a, &b, 10.0);
-        let row = d
-            .health
-            .iter()
-            .find(|r| r.protocol == "direct-gdr")
+        let row = rows_of(&d, "health")
+            .into_iter()
+            .find(|r| r.key == "direct-gdr")
             .unwrap();
-        assert!(row.regressed && row.b_rate < row.a_rate);
-        assert!(d.regressions() >= 1);
+        assert!(row.regressed && row.b < row.a);
+        assert_eq!(d.exit_code(), 4);
         assert!(d.text().contains("promote-rate"), "{}", d.text());
         // identical lifecycles: no regression from health rows
         let d2 = diff(&a, &a.clone(), 10.0);
-        assert!(d2.health.iter().all(|r| !r.regressed));
+        assert!(rows_of(&d2, "health").iter().all(|r| !r.regressed));
         // breaker-free pair produces no health section at all
         let c = analyze_str(&synthetic_trace()).unwrap();
         let d3 = diff(&c, &c.clone(), 10.0);
-        assert!(d3.health.is_empty());
+        assert!(rows_of(&d3, "health").is_empty());
         assert!(!d3.text().contains("promote-rate"));
     }
 
@@ -856,21 +896,19 @@ mod tests {
         let mut b = a.clone();
         b.slo_violations += 3;
         let d = diff(&a, &b, 10.0);
-        assert_eq!(d.slo_regressions(), 1);
-        assert_eq!(d.latency_regressions(), 0);
-        assert_eq!(d.contention_regressions(), 0);
-        let row = d.slo.as_ref().expect("slo section present");
-        assert!(row.regressed && row.b_violations > row.a_violations);
+        assert_eq!((d.regressions(), d.exit_code()), (1, 6));
+        let row = rows_of(&d, "slo")[0];
+        assert!(row.regressed && row.b > row.a);
         assert!(d.text().contains("slo-violations"), "{}", d.text());
         let v = obs::json::parse(&d.to_json()).expect("diff JSON must reparse");
-        assert_eq!(v.get("slo_regressions").and_then(|n| n.as_f64()), Some(1.0));
+        assert_eq!(v.get("exit_code").and_then(|n| n.as_f64()), Some(6.0));
         // fewer violations than baseline is not a regression
         let d2 = diff(&b, &a, 10.0);
-        assert_eq!(d2.slo_regressions(), 0);
+        assert_eq!(d2.exit_code(), 0);
         // a windowless pair carries no slo section at all
         let c = analyze_str(&synthetic_trace()).expect("clean trace");
         let d3 = diff(&c, &c.clone(), 10.0);
-        assert!(d3.slo.is_none());
+        assert!(rows_of(&d3, "slo").is_empty());
         assert!(!d3.text().contains("slo-violations"));
     }
 
@@ -884,7 +922,7 @@ mod tests {
         assert_eq!(d.regressions(), 1);
         let row = d.rows.iter().find(|r| r.key == "put/direct-gdr").unwrap();
         assert!(row.regressed);
-        assert!((row.delta_pct.unwrap() - 50.0).abs() < 1e-6);
+        assert!((row.delta().unwrap() - 50.0).abs() < 1e-6);
         // within threshold: no regression
         let d2 = diff(&a, &b, 60.0);
         assert_eq!(d2.regressions(), 0);

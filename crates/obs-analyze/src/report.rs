@@ -5,11 +5,9 @@ use obs::json::{ObjWriter, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// Schema marker written by [`Report::to_json`].
+/// Schema marker written by [`Report::to_json`] and required by
+/// [`Report::from_json`].
 pub const REPORT_SCHEMA: &str = "gdrprof-report-v2";
-/// Previous schema, still accepted by [`Report::from_json`] (missing
-/// quantile sections rehydrate empty).
-pub const REPORT_SCHEMA_V1: &str = "gdrprof-report-v1";
 
 /// RMA/sync operations that carry a correlation id and participate in
 /// the flow-linkage metric. Collectives (barrier etc.) are excluded:
@@ -87,6 +85,17 @@ pub struct LinkStat {
     pub contended_us: f64,
 }
 
+impl LinkStat {
+    /// Fraction of a `span_us`-long trace the link spent contended.
+    pub fn contended_fraction(&self, span_us: f64) -> f64 {
+        if span_us > 0.0 {
+            self.contended_us / span_us
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Fault-injection / recovery summary for one protocol (from the
 /// `fault`/`retry`/`fallback` instants a faulted run records).
 #[derive(Clone, Debug, Default)]
@@ -119,6 +128,16 @@ impl FaultStat {
             1.0
         } else {
             self.recovered as f64 / self.faulted_ops as f64
+        }
+    }
+
+    /// Fraction of the requested bytes that landed across partial
+    /// outcomes (1.0 when nothing was partially delivered).
+    pub fn delivered_fraction(&self) -> f64 {
+        if self.partial_total == 0 {
+            1.0
+        } else {
+            self.partial_delivered as f64 / self.partial_total as f64
         }
     }
 }
@@ -812,177 +831,140 @@ impl Report {
         out
     }
 
-    /// Rehydrate a report from its JSON form. Accepts both
-    /// `gdrprof-report-v2` and legacy `gdrprof-report-v1` documents —
-    /// sections v1 lacks (quantiles) come back empty. Per-op paths are
-    /// not rehydrated (they are an export-only detail). Every failure
-    /// names the field that was missing or mistyped.
+    /// Rehydrate a report from its `gdrprof-report-v2` JSON form. Every
+    /// section is required and strictly typed: counts must be
+    /// non-negative integers, and every failure names the field that was
+    /// missing or mistyped. Per-op paths are not rehydrated (they are an
+    /// export-only detail), though `ops` must still be an array.
     pub fn from_json(v: &Value) -> Result<Report, String> {
-        fn f64_of(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
+        fn num(x: &Value, path: &str) -> Result<f64, String> {
+            x.as_f64().ok_or_else(|| format!("{path}: not a number"))
+        }
+        fn count(x: &Value, path: &str) -> Result<u64, String> {
+            match num(x, path)? {
+                n if n >= 0.0 && n.fract() == 0.0 => Ok(n as u64),
+                _ => Err(format!("{path}: not a count")),
+            }
+        }
+        fn field<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<&'v Value, String> {
             v.get(key)
-                .ok_or_else(|| format!("{ctx}: missing field {key:?}"))?
-                .as_f64()
-                .ok_or_else(|| format!("{ctx}: field {key:?} is not a number"))
+                .ok_or_else(|| format!("{ctx}: missing field {key:?}"))
+        }
+        fn f64_of(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
+            num(field(v, key, ctx)?, &format!("{ctx}.{key}"))
         }
         fn u64_of(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-            f64_of(v, key, ctx).map(|n| n as u64)
+            count(field(v, key, ctx)?, &format!("{ctx}.{key}"))
+        }
+        /// Every entry of the object `v.key`, read by `each` under its
+        /// own context path.
+        fn map_of<T>(
+            v: &Value,
+            key: &str,
+            ctx: &str,
+            each: impl Fn(&Value, &str) -> Result<T, String>,
+        ) -> Result<BTreeMap<String, T>, String> {
+            field(v, key, ctx)?
+                .as_obj()
+                .ok_or_else(|| format!("{ctx}.{key}: not an object"))?
+                .iter()
+                .map(|(k, x)| Ok((k.clone(), each(x, &format!("{ctx}.{key}.{k}"))?)))
+                .collect()
         }
         match v.get("schema").and_then(Value::as_str) {
-            Some(REPORT_SCHEMA) | Some(REPORT_SCHEMA_V1) => {}
+            Some(REPORT_SCHEMA) => {}
             Some(other) => {
                 return Err(format!(
-                    "report: schema {other:?}, expected {REPORT_SCHEMA:?} or {REPORT_SCHEMA_V1:?}"
+                    "report: schema {other:?}, expected {REPORT_SCHEMA:?}"
                 ))
             }
             None => return Err("report: missing \"schema\" field".to_string()),
         }
-        let mut rep = Report {
-            trace_span_us: f64_of(v, "trace_span_us", "report")?,
-            ops_analyzed: u64_of(v, "ops_analyzed", "report")?,
-            ..Report::default()
-        };
-        if let Some(flow) = v.get("flow") {
-            rep.flow_started = u64_of(flow, "started", "report.flow")?;
-            rep.flow_matched = u64_of(flow, "matched", "report.flow")?;
-        }
-        let protocols = v
-            .get("protocols")
-            .ok_or("report: missing \"protocols\" object")?
-            .as_obj()
-            .ok_or("report: \"protocols\" is not an object")?;
-        for (k, p) in protocols {
-            let ctx = format!("report.protocols.{k}");
-            let count = u64_of(p, "count", &ctx)?;
-            let mut stages = BTreeMap::new();
-            if let Some(sj) = p.get("stages").and_then(Value::as_obj) {
-                for (stage, us) in sj {
-                    stages.insert(
-                        stage.clone(),
-                        us.as_f64()
-                            .ok_or_else(|| format!("{ctx}.stages.{stage}: not a number"))?,
-                    );
-                }
-            }
-            rep.protocols.insert(
-                k.clone(),
-                ProtoStat {
+        let r = "report";
+        let rep = Report {
+            trace_span_us: f64_of(v, "trace_span_us", r)?,
+            ops_analyzed: u64_of(v, "ops_analyzed", r)?,
+            flow_started: u64_of(field(v, "flow", r)?, "started", "report.flow")?,
+            flow_matched: u64_of(field(v, "flow", r)?, "matched", "report.flow")?,
+            protocols: map_of(v, "protocols", r, |p, ctx| {
+                let count = u64_of(p, "count", ctx)?;
+                Ok(ProtoStat {
                     count,
-                    bytes: u64_of(p, "bytes", &ctx)?,
-                    total_us: f64_of(p, "mean_us", &ctx)? * count as f64,
-                    min_us: f64_of(p, "min_us", &ctx)?,
-                    max_us: f64_of(p, "max_us", &ctx)?,
-                    stages,
-                },
-            );
-        }
-        // v2-only section: absent on v1 documents, rehydrates empty
-        if let Some(quants) = v.get("quantiles").and_then(Value::as_obj) {
-            for (k, q) in quants {
-                let ctx = format!("report.quantiles.{k}");
-                rep.quantiles.insert(
-                    k.clone(),
-                    QuantileStat {
-                        class: u64_of(q, "class", &ctx)? as u8,
-                        count: u64_of(q, "count", &ctx)?,
-                        p50_us: f64_of(q, "p50_us", &ctx)?,
-                        p99_us: f64_of(q, "p99_us", &ctx)?,
-                        p999_us: f64_of(q, "p999_us", &ctx)?,
-                    },
-                );
-            }
-        }
-        if let Some(decisions) = v.get("decisions").and_then(Value::as_obj) {
-            for (k, n) in decisions {
-                rep.decisions.insert(
-                    k.clone(),
-                    n.as_f64()
-                        .ok_or_else(|| format!("report.decisions.{k}: not a number"))?
-                        as u64,
-                );
-            }
-        }
-        // absent from pre-fault report files; treat that as empty
-        if let Some(faults) = v.get("faults").and_then(Value::as_obj) {
-            for (k, f) in faults {
-                let ctx = format!("report.faults.{k}");
-                rep.faults.insert(
-                    k.clone(),
-                    FaultStat {
-                        injected: u64_of(f, "injected", &ctx)?,
-                        retried: u64_of(f, "retried", &ctx)?,
-                        faulted_ops: u64_of(f, "faulted_ops", &ctx)?,
-                        recovered: u64_of(f, "recovered", &ctx)?,
-                        fallbacks: u64_of(f, "fallbacks", &ctx)?,
-                        // additive fields: absent from pre-partial-delivery
-                        // report files, default to zero so old goldens load
-                        chunk_retried: u64_of(f, "chunk_retried", &ctx).unwrap_or(0),
-                        partials: u64_of(f, "partials", &ctx).unwrap_or(0),
-                        partial_delivered: u64_of(f, "partial_delivered", &ctx).unwrap_or(0),
-                        partial_total: u64_of(f, "partial_total", &ctx).unwrap_or(0),
-                    },
-                );
-            }
-        }
-        // absent from pre-breaker report files; treat as empty
-        if let Some(health) = v.get("health").and_then(Value::as_obj) {
-            for (k, h) in health {
-                let ctx = format!("report.health.{k}");
-                rep.health.insert(
-                    k.clone(),
-                    HealthStat {
-                        demotes: u64_of(h, "demotes", &ctx)?,
-                        probes: u64_of(h, "probes", &ctx)?,
-                        promotes: u64_of(h, "promotes", &ctx)?,
-                    },
-                );
-            }
-        }
-        // additive: absent from pre-fail-stop report files, all-zero
-        if let Some(m) = v.get("membership") {
-            let ctx = "report.membership";
-            rep.membership = MemberStat {
-                pe_dead: u64_of(m, "pe_dead", ctx).unwrap_or(0),
-                evicts: u64_of(m, "evicts", ctx).unwrap_or(0),
-                view_changes: u64_of(m, "view_changes", ctx).unwrap_or(0),
-                rejoins: u64_of(m, "rejoins", ctx).unwrap_or(0),
-                last_epoch: u64_of(m, "last_epoch", ctx).unwrap_or(0),
-                convergence_us: f64_of(m, "convergence_us", ctx).unwrap_or(0.0),
-            };
-        }
-        // additive: absent from pre-partition report files, all-zero
-        if let Some(p) = v.get("partitions") {
-            let ctx = "report.partitions";
-            rep.partitions = PartitionStat {
-                partitions: u64_of(p, "partitions", ctx).unwrap_or(0),
-                fences: u64_of(p, "fences", ctx).unwrap_or(0),
-                heals: u64_of(p, "heals", ctx).unwrap_or(0),
-                last_epoch: u64_of(p, "last_epoch", ctx).unwrap_or(0),
-                heal_convergence_us: f64_of(p, "heal_convergence_us", ctx).unwrap_or(0.0),
-            };
-        }
-        // additive: absent from pre-windowing report files, defaults 0
-        if let Some(tl) = v.get("timeline") {
-            rep.windows = u64_of(tl, "windows", "report.timeline").unwrap_or(0);
-            rep.slo_violations = u64_of(tl, "violations", "report.timeline").unwrap_or(0);
-        }
-        // links ride along so the contention delta gate can compare
-        // report files, not just raw traces
-        if let Some(links) = v.get("links").and_then(Value::as_obj) {
-            for (k, l) in links {
-                let ctx = format!("report.links.{k}");
-                rep.links.insert(
-                    k.clone(),
-                    LinkStat {
-                        samples: u64_of(l, "samples", &ctx)?,
-                        bytes: u64_of(l, "bytes", &ctx)?,
-                        busy_us: f64_of(l, "busy_us", &ctx)?,
-                        peak_queue: u64_of(l, "peak_queue", &ctx)? as u32,
-                        contended_windows: u64_of(l, "contended_windows", &ctx)?,
-                        contended_us: f64_of(l, "contended_us", &ctx)?,
-                    },
-                );
-            }
-        }
+                    bytes: u64_of(p, "bytes", ctx)?,
+                    total_us: f64_of(p, "mean_us", ctx)? * count as f64,
+                    min_us: f64_of(p, "min_us", ctx)?,
+                    max_us: f64_of(p, "max_us", ctx)?,
+                    stages: map_of(p, "stages", ctx, num)?,
+                })
+            })?,
+            quantiles: map_of(v, "quantiles", r, |q, ctx| {
+                Ok(QuantileStat {
+                    class: u64_of(q, "class", ctx)? as u8,
+                    count: u64_of(q, "count", ctx)?,
+                    p50_us: f64_of(q, "p50_us", ctx)?,
+                    p99_us: f64_of(q, "p99_us", ctx)?,
+                    p999_us: f64_of(q, "p999_us", ctx)?,
+                })
+            })?,
+            decisions: map_of(v, "decisions", r, count)?,
+            faults: map_of(v, "faults", r, |f, ctx| {
+                Ok(FaultStat {
+                    injected: u64_of(f, "injected", ctx)?,
+                    retried: u64_of(f, "retried", ctx)?,
+                    faulted_ops: u64_of(f, "faulted_ops", ctx)?,
+                    recovered: u64_of(f, "recovered", ctx)?,
+                    fallbacks: u64_of(f, "fallbacks", ctx)?,
+                    chunk_retried: u64_of(f, "chunk_retried", ctx)?,
+                    partials: u64_of(f, "partials", ctx)?,
+                    partial_delivered: u64_of(f, "partial_delivered", ctx)?,
+                    partial_total: u64_of(f, "partial_total", ctx)?,
+                })
+            })?,
+            health: map_of(v, "health", r, |h, ctx| {
+                Ok(HealthStat {
+                    demotes: u64_of(h, "demotes", ctx)?,
+                    probes: u64_of(h, "probes", ctx)?,
+                    promotes: u64_of(h, "promotes", ctx)?,
+                })
+            })?,
+            membership: {
+                let (m, ctx) = (field(v, "membership", r)?, "report.membership");
+                MemberStat {
+                    pe_dead: u64_of(m, "pe_dead", ctx)?,
+                    evicts: u64_of(m, "evicts", ctx)?,
+                    view_changes: u64_of(m, "view_changes", ctx)?,
+                    rejoins: u64_of(m, "rejoins", ctx)?,
+                    last_epoch: u64_of(m, "last_epoch", ctx)?,
+                    convergence_us: f64_of(m, "convergence_us", ctx)?,
+                }
+            },
+            partitions: {
+                let (p, ctx) = (field(v, "partitions", r)?, "report.partitions");
+                PartitionStat {
+                    partitions: u64_of(p, "partitions", ctx)?,
+                    fences: u64_of(p, "fences", ctx)?,
+                    heals: u64_of(p, "heals", ctx)?,
+                    last_epoch: u64_of(p, "last_epoch", ctx)?,
+                    heal_convergence_us: f64_of(p, "heal_convergence_us", ctx)?,
+                }
+            },
+            links: map_of(v, "links", r, |l, ctx| {
+                Ok(LinkStat {
+                    samples: u64_of(l, "samples", ctx)?,
+                    bytes: u64_of(l, "bytes", ctx)?,
+                    busy_us: f64_of(l, "busy_us", ctx)?,
+                    peak_queue: u64_of(l, "peak_queue", ctx)? as u32,
+                    contended_windows: u64_of(l, "contended_windows", ctx)?,
+                    contended_us: f64_of(l, "contended_us", ctx)?,
+                })
+            })?,
+            windows: u64_of(field(v, "timeline", r)?, "windows", "report.timeline")?,
+            slo_violations: u64_of(field(v, "timeline", r)?, "violations", "report.timeline")?,
+            paths: Vec::new(),
+        };
+        field(v, "ops", r)?
+            .as_arr()
+            .ok_or("report.ops: not an array")?;
         Ok(rep)
     }
 

@@ -315,12 +315,17 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // consume one full UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.i += c.len_utf8();
+                    // copy the run up to the next delimiter in one go;
+                    // both delimiters are ASCII, so the run ends on a
+                    // UTF-8 boundary and validating it stays linear
+                    let start = self.i;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.i += 1;
+                    }
+                    s.push_str(
+                        std::str::from_utf8(&self.b[start..self.i])
+                            .map_err(|_| "invalid utf-8 in string")?,
+                    );
                 }
             }
         }
@@ -368,6 +373,16 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(a[2].get("b"), Some(&Value::Null));
         assert_eq!(v.get("e").unwrap().as_f64().unwrap(), -125.0);
+    }
+
+    #[test]
+    fn non_ascii_strings_with_escapes_parse_back() {
+        let v = parse(r#"{"k":"µs→ok\"\\\u00e9\n→µ","µ":"→"}"#).unwrap();
+        assert_eq!(v.get("k").unwrap().as_str().unwrap(), "µs→ok\"\\é\n→µ");
+        assert_eq!(v.get("µ").unwrap().as_str().unwrap(), "→");
+        let mut out = String::new();
+        write_str(&mut out, "µs→ok\"\t");
+        assert_eq!(parse(&out).unwrap(), Value::Str("µs→ok\"\t".into()));
     }
 
     #[test]

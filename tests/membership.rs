@@ -210,11 +210,10 @@ fn gdrprof_membership_section_reports_convergence_and_gates_diff() {
     let mut worse = rep.clone();
     worse.membership.rejoins = 0;
     let d = obs_analyze::diff(&rep, &worse, 10.0);
-    assert_eq!(d.membership_regressions(), 1);
-    assert_eq!(d.latency_regressions(), 0);
+    assert_eq!((d.regressions(), d.exit_code()), (1, 7));
     // identical sides are clean
     let clean = obs_analyze::diff(&rep, &rep, 10.0);
-    assert_eq!(clean.regressions(), 0);
+    assert_eq!((clean.regressions(), clean.exit_code()), (0, 0));
 }
 
 const SPLIT_AT_NS: u64 = 120_000;
@@ -408,12 +407,10 @@ fn gdrprof_partitions_section_reports_heal_convergence_and_gates_diff() {
     let mut worse = rep.clone();
     worse.partitions.heal_convergence_us *= 2.0;
     let d = obs_analyze::diff(&rep, &worse, 10.0);
-    assert_eq!(d.partition_regressions(), 1);
-    assert_eq!(d.membership_regressions(), 0);
-    assert_eq!(d.latency_regressions(), 0);
+    assert_eq!((d.regressions(), d.exit_code()), (1, 8));
     // identical sides are clean
     let clean = obs_analyze::diff(&rep, &rep, 10.0);
-    assert_eq!(clean.regressions(), 0);
+    assert_eq!((clean.regressions(), clean.exit_code()), (0, 0));
 }
 
 /// Membership detection is bounded: survivors observe the eviction at
