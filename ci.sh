@@ -57,6 +57,10 @@ cmp BENCH_omb.json "$tmp/BENCH.json"
 run_twice_cmp fig11 env BENCH_FAST=1 cargo bench -q -p bench-gdr --bench fig11_stencil2d
 run_twice_cmp fig12 env BENCH_FAST=1 cargo bench -q -p bench-gdr --bench fig12_lbm
 
+# Simulator micro-benchmarks: one sample each, so the harness is run and
+# not only compiled by clippy.
+GDR_BENCH_ITERS=1 cargo bench -q -p bench-gdr --bench engine_micro
+
 # gdrprof smoke: the traced workload must analyze to a nonzero critical
 # path with the expected anchor lines.
 out="$(cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/trace.json" --json "$tmp/report.json")"

@@ -1,5 +1,5 @@
-//! Micro-benchmarks of the simulator itself: event throughput,
-//! put-call overhead, machine construction.
+//! Micro-benchmarks of the simulator itself: event throughput, a task
+//! waking itself, put-call overhead, machine construction.
 //!
 //! Plain wall-clock harness (no external benchmarking crate — the
 //! build environment resolves crates offline). Run with
@@ -49,6 +49,18 @@ fn engine_event_throughput(n: u32) {
     });
 }
 
+fn engine_self_wakes(n: u32) {
+    bench("engine_100k_self_wakes", n, || {
+        let sim = Sim::new();
+        sim.run(1, |ctx| {
+            for _ in 0..100_000 {
+                ctx.advance(SimDuration::from_ns(1));
+            }
+        });
+        sim.stats().wakeups
+    });
+}
+
 fn shmem_put_roundtrips(n: u32) {
     bench("shmem_1k_puts_quiet", n, || {
         let m = ShmemMachine::build(
@@ -81,6 +93,7 @@ fn machine_construction(n: u32) {
 fn main() {
     let n = iters();
     engine_event_throughput(n);
+    engine_self_wakes(n);
     shmem_put_roundtrips(n);
     machine_construction(n);
 }

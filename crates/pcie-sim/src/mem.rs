@@ -10,6 +10,9 @@ use crate::ids::{GpuId, ProcId, SegId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::os::raw::{c_int, c_void};
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 /// Which physical memory an address lives in.
@@ -107,17 +110,112 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// Zero-filled backing store of one arena: a private anonymous mapping,
+/// so the kernel hands out zero pages on first touch and the parts of a
+/// large segment or device heap the model never touches cost nothing.
+struct Pages {
+    ptr: NonNull<u8>,
+    len: usize,
+}
+
+// Linux values of the `mmap` flags used below.
+const PROT_READ: c_int = 0x1;
+const PROT_WRITE: c_int = 0x2;
+const MAP_PRIVATE: c_int = 0x02;
+const MAP_ANONYMOUS: c_int = 0x20;
+
+extern "C" {
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        off: i64,
+    ) -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+}
+
+impl Pages {
+    fn zeroed(len: usize) -> Pages {
+        if len == 0 {
+            // mmap rejects a zero length; an empty slice needs no memory.
+            return Pages {
+                ptr: NonNull::dangling(),
+                len,
+            };
+        }
+        // SAFETY: a fresh private anonymous mapping with no fixed address
+        // and no file aliases no Rust memory; the result is checked below.
+        let p = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            p as isize != -1,
+            "mmap of a {len}-byte arena failed: {}",
+            std::io::Error::last_os_error()
+        );
+        Pages {
+            ptr: NonNull::new(p.cast()).expect("mmap returned null"),
+            len,
+        }
+    }
+}
+
+impl Deref for Pages {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        // SAFETY: `ptr` is either dangling with `len == 0` or a live
+        // mapping of `len` readable bytes (anonymous pages read as zero)
+        // that only `Drop` unmaps; the borrow of `self` keeps it alive.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl DerefMut for Pages {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as in `deref`, and the mapping is writable; `&mut self`
+        // makes this the only live view of it.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl Drop for Pages {
+    fn drop(&mut self) {
+        if self.len > 0 {
+            // SAFETY: unmaps exactly the mapping made in `zeroed`, once;
+            // no slice of it outlives `self`.
+            unsafe { munmap(self.ptr.as_ptr().cast(), self.len) };
+        }
+    }
+}
+
+// SAFETY: `Pages` uniquely owns its mapping, like a `Box<[u8]>`; shared
+// access goes through `&[u8]` and mutation needs `&mut Pages`.
+unsafe impl Send for Pages {}
+// SAFETY: see `Send`.
+unsafe impl Sync for Pages {}
+
 /// A contiguous chunk of simulated physical memory.
 pub struct Arena {
     space: MemSpace,
-    data: RwLock<Box<[u8]>>,
+    size: u64,
+    data: RwLock<Pages>,
 }
 
 impl Arena {
     pub fn new(space: MemSpace, size: usize) -> Arc<Arena> {
         Arc::new(Arena {
             space,
-            data: RwLock::new(vec![0u8; size].into_boxed_slice()),
+            size: size as u64,
+            data: RwLock::new(Pages::zeroed(size)),
         })
     }
 
@@ -126,17 +224,16 @@ impl Arena {
     }
 
     pub fn size(&self) -> u64 {
-        self.data.read().len() as u64
+        self.size
     }
 
     fn check(&self, offset: u64, len: u64) -> Result<(), MemError> {
-        let size = self.size();
-        if offset.checked_add(len).is_none_or(|end| end > size) {
+        if offset.checked_add(len).is_none_or(|end| end > self.size) {
             return Err(MemError::OutOfBounds {
                 space: self.space,
                 offset,
                 len,
-                size,
+                size: self.size,
             });
         }
         Ok(())
@@ -225,24 +322,37 @@ impl MemoryMap {
 
     /// Move `len` bytes from `src` to `dst`, across any pair of spaces.
     /// Overlapping copies within the same space behave like `memmove`.
+    /// Both ranges are checked before any byte moves, and two arenas are
+    /// locked in `MemSpace` order, so opposing copies cannot deadlock.
     pub fn copy(&self, src: MemRef, dst: MemRef, len: u64) -> Result<(), MemError> {
         if len == 0 {
             return Ok(());
         }
         let sa = self.get(src.space)?;
         let da = self.get(dst.space)?;
-        let mut buf = vec![0u8; len as usize];
-        sa.read(src.offset, &mut buf)?;
-        da.write(dst.offset, &buf)?;
+        sa.check(src.offset, len)?;
+        da.check(dst.offset, len)?;
+        let (s, d, n) = (src.offset as usize, dst.offset as usize, len as usize);
+        let move_bytes = |from: &[u8], to: &mut [u8]| to[d..d + n].copy_from_slice(&from[s..s + n]);
+        if src.space == dst.space {
+            sa.data.write().copy_within(s..s + n, d);
+        } else if sa.space < da.space {
+            let from = sa.data.read();
+            move_bytes(&from, &mut da.data.write());
+        } else {
+            let mut to = da.data.write();
+            move_bytes(&sa.data.read(), &mut to);
+        }
         Ok(())
     }
 
     /// Read a typed value (plain-old-data via byte copy).
     pub fn read_bytes(&self, src: MemRef, len: u64) -> Result<Vec<u8>, MemError> {
         let a = self.get(src.space)?;
-        let mut buf = vec![0u8; len as usize];
-        a.read(src.offset, &mut buf)?;
-        Ok(buf)
+        a.check(src.offset, len)?;
+        let s = src.offset as usize;
+        let bytes = a.data.read()[s..s + len as usize].to_vec();
+        Ok(bytes)
     }
 
     pub fn write_bytes(&self, dst: MemRef, data: &[u8]) -> Result<(), MemError> {
@@ -347,6 +457,84 @@ mod tests {
         let m = MemoryMap::new();
         let r = MemRef::new(MemSpace::Host(ProcId(5)), 0);
         m.copy(r, r, 0).unwrap();
+    }
+
+    #[test]
+    fn opposing_concurrent_copies_finish_and_land() {
+        // A→B and B→A at once, many times. Both arenas are locked in
+        // `MemSpace` order, so neither thread can hold one lock while
+        // the other holds the second; an inverted order deadlocks within
+        // a few thousand rounds, which the timeout turns into a failure
+        // (the stuck threads are left behind, not joined).
+        use std::sync::{mpsc, Barrier};
+        let m = Arc::new(MemoryMap::new());
+        let a = MemRef::new(MemSpace::Host(ProcId(0)), 0);
+        let b = MemRef::new(MemSpace::Device(GpuId(0)), 0);
+        m.create(a.space, 4096);
+        m.create(b.space, 4096);
+        m.write_bytes(a, &[0xaa; 64]).unwrap();
+        m.write_bytes(b, &[0xbb; 64]).unwrap();
+        let start = Arc::new(Barrier::new(2));
+        let (done, finished) = mpsc::channel();
+        let threads: Vec<_> = [(a, b), (b, a)]
+            .into_iter()
+            .map(|(from, to)| {
+                let (m, start, done) = (m.clone(), start.clone(), done.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..100_000 {
+                        m.copy(from, to.add(2048), 64).unwrap();
+                    }
+                    done.send(()).unwrap();
+                })
+            })
+            .collect();
+        drop(done);
+        for _ in 0..2 {
+            finished
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("opposing copies deadlocked or panicked");
+        }
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        assert_eq!(m.read_bytes(b.add(2048), 64).unwrap(), vec![0xaa; 64]);
+        assert_eq!(m.read_bytes(a.add(2048), 64).unwrap(), vec![0xbb; 64]);
+    }
+
+    #[test]
+    fn out_of_bounds_copy_changes_nothing() {
+        let m = MemoryMap::new();
+        let src = MemRef::new(MemSpace::Shared(SegId(0)), 0);
+        let dst = MemRef::new(MemSpace::Device(GpuId(1)), 12);
+        m.create(src.space, 32);
+        m.create(dst.space, 16);
+        let pattern: Vec<u8> = (1..=32).collect();
+        m.write_bytes(src, &pattern).unwrap();
+        let err = m.copy(src, dst, 8).unwrap_err();
+        assert!(matches!(err, MemError::OutOfBounds { space, .. } if space == dst.space));
+        assert_eq!(m.read_bytes(src, 32).unwrap(), pattern);
+        assert_eq!(
+            m.read_bytes(MemRef::new(dst.space, 0), 16).unwrap(),
+            vec![0; 16]
+        );
+        // the same within one arena
+        assert!(m.copy(src, src.add(28), 8).is_err());
+        assert_eq!(m.read_bytes(src, 32).unwrap(), pattern);
+    }
+
+    #[test]
+    fn fresh_arena_is_zero_and_empty_arena_is_valid() {
+        let m = MemoryMap::new();
+        let size = 24 << 20;
+        let big = MemRef::new(MemSpace::Shared(SegId(3)), 0);
+        m.create(big.space, size);
+        assert_eq!(m.read_bytes(big, 1).unwrap(), vec![0]);
+        assert_eq!(m.read_bytes(big.add(size as u64 - 1), 1).unwrap(), vec![0]);
+        let empty = MemRef::new(MemSpace::Host(ProcId(7)), 0);
+        let arena = m.create(empty.space, 0);
+        assert_eq!(arena.size(), 0);
+        assert_eq!(m.read_bytes(empty, 0).unwrap(), Vec::<u8>::new());
+        assert!(m.read_bytes(empty, 1).is_err());
+        assert!(m.copy(big, empty, 1).is_err());
     }
 
     #[test]

@@ -42,10 +42,17 @@ impl fmt::Display for TaskId {
 /// A deferred closure run by the engine at a virtual instant.
 pub type Action = Box<dyn FnOnce(&mut Sched<'_>) + Send>;
 
+/// What a heap entry does when it fires: wake a task blocked in
+/// [`TaskCtx::advance`] (no closure needed), or run an action.
+enum Event {
+    Wake(TaskId),
+    Run(Action),
+}
+
 struct EventEntry {
     at: SimTime,
     seq: u64,
-    action: Action,
+    event: Event,
 }
 
 impl PartialEq for EventEntry {
@@ -66,11 +73,27 @@ impl Ord for EventEntry {
     }
 }
 
+/// Why a task is blocked; formatted only for a diagnostic dump.
+#[derive(Clone, Copy)]
+enum WaitReason {
+    Advance(SimTime),
+    Completion(u64),
+}
+
+impl fmt::Display for WaitReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WaitReason::Advance(at) => write!(f, "advance until {at}"),
+            WaitReason::Completion(n) => write!(f, "completion>={n}"),
+        }
+    }
+}
+
 struct TaskState {
     alive: bool,
     /// In `Core::ready`, waiting for the baton.
     queued: bool,
-    wait_reason: Option<String>,
+    wait_reason: Option<WaitReason>,
     /// The task's thread sleeps here until it holds the baton.
     parked: Arc<Condvar>,
 }
@@ -123,13 +146,17 @@ impl Core {
     /// Hand the baton to the head of the ready queue, driving the event
     /// heap while the queue is empty. With live tasks, no ready task and
     /// no pending event, the engine is deadlocked: poison and panic.
-    fn pass_baton(&mut self) {
+    /// When the head is `caller` itself, it is running, not parked, and
+    /// keeps the baton without a condvar signal.
+    fn pass_baton(&mut self, caller: Option<TaskId>) {
         self.baton = None;
         loop {
             if let Some(next) = self.ready.pop_front() {
                 let st = &mut self.tasks[next.0];
                 st.queued = false;
-                st.parked.notify_one();
+                if caller != Some(next) {
+                    st.parked.notify_one();
+                }
                 self.baton = Some(next);
                 return;
             }
@@ -152,14 +179,28 @@ impl Core {
         }
     }
 
+    /// Queue `event` at `at`, counting it against the heap high-water mark.
+    fn push(&mut self, at: SimTime, event: Event) {
+        debug_assert!(at >= self.now, "scheduling into the past");
+        let seq = self.seq;
+        self.seq += 1;
+        self.events.push(EventEntry { at, seq, event });
+        self.stats.max_heap_len = self.stats.max_heap_len.max(self.events.len());
+    }
+
     fn exec_event(&mut self, ev: EventEntry) {
         debug_assert!(ev.at >= self.now);
         self.now = ev.at;
         self.stats.events_executed += 1;
-        let r = catch_unwind(AssertUnwindSafe(|| (ev.action)(&mut Sched { core: self })));
-        if let Err(payload) = r {
-            self.poison();
-            resume_unwind(payload);
+        match ev.event {
+            Event::Wake(task) => self.wake(task),
+            Event::Run(action) => {
+                let r = catch_unwind(AssertUnwindSafe(|| action(&mut Sched { core: self })));
+                if let Err(payload) = r {
+                    self.poison();
+                    resume_unwind(payload);
+                }
+            }
         }
     }
 
@@ -176,7 +217,10 @@ impl Core {
         let mut s = String::new();
         for (i, t) in self.tasks.iter().enumerate() {
             if t.alive && !t.queued && self.baton != Some(TaskId(i)) {
-                let why = t.wait_reason.as_deref().unwrap_or("<unknown>");
+                let why: &dyn fmt::Display = match &t.wait_reason {
+                    Some(reason) => reason,
+                    None => &"<unknown>",
+                };
                 s.push_str(&format!("  task{i}: waiting on {why}\n"));
             }
         }
@@ -212,14 +256,7 @@ impl<'a> Sched<'a> {
 
     /// Schedule `action` to run at absolute time `at` (>= now).
     pub fn schedule_at(&mut self, at: SimTime, action: Action) {
-        debug_assert!(at >= self.core.now, "scheduling into the past");
-        let seq = self.core.seq;
-        self.core.seq += 1;
-        self.core.events.push(EventEntry { at, seq, action });
-        let len = self.core.events.len();
-        if len > self.core.stats.max_heap_len {
-            self.core.stats.max_heap_len = len;
-        }
+        self.core.push(at, Event::Run(action));
     }
 
     /// Schedule `action` to run after `delay`.
@@ -315,10 +352,8 @@ impl TaskCtx {
         let me = self.id;
         let mut guard = self.sim.core.lock();
         let at = guard.now + d;
-        // go through the canonical scheduler so stats and the
-        // monotonicity check apply to task wake-ups too
-        Sched { core: &mut guard }.schedule_at(at, Box::new(move |s| s.core.wake(me)));
-        Sim::block_current(&mut guard, me, format!("advance until {at}"));
+        guard.push(at, Event::Wake(me));
+        Sim::block_current(&mut guard, me, WaitReason::Advance(at));
     }
 
     /// Block until `c`'s counter reaches at least `threshold`.
@@ -335,7 +370,7 @@ impl TaskCtx {
                 kind: WaiterKind::Task(me),
             });
         }
-        Sim::block_current(&mut guard, me, format!("completion>={threshold}"));
+        Sim::block_current(&mut guard, me, WaitReason::Completion(threshold));
     }
 
     /// Block until `c` has been signalled at least once.
@@ -463,7 +498,7 @@ impl Sim {
                 core.ready.push_back(TaskId(id));
             }
             core.live += n;
-            core.pass_baton();
+            core.pass_baton(None);
             base
         };
         let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -535,7 +570,7 @@ impl Sim {
         let mut guard = self.core.lock();
         guard.tasks[id.0].alive = false;
         guard.live -= 1;
-        guard.pass_baton();
+        guard.pass_baton(None);
     }
 
     /// A task died by panic: release its accounting and poison the
@@ -550,9 +585,9 @@ impl Sim {
     /// Block the calling task until it is woken and the baton reaches
     /// it. Must be entered with the engine lock held, by the baton
     /// holder, with the task registered as a waiter somewhere.
-    fn block_current(guard: &mut MutexGuard<'_, Core>, me: TaskId, reason: String) {
+    fn block_current(guard: &mut MutexGuard<'_, Core>, me: TaskId, reason: WaitReason) {
         guard.tasks[me.0].wait_reason = Some(reason);
-        guard.pass_baton();
+        guard.pass_baton(Some(me));
         Self::park(guard, me);
         guard.tasks[me.0].wait_reason = None;
     }
@@ -877,7 +912,34 @@ mod tests {
             ctx.advance(SimDuration::from_us(1));
             ctx.advance(SimDuration::from_us(1));
         });
-        assert!(sim.stats().events_executed >= 2);
+        // a task-wake heap entry is still one event and one wake-up
+        let st = sim.stats();
+        assert_eq!(st.events_executed, 2);
+        assert_eq!(st.wakeups, 2);
+    }
+
+    #[test]
+    fn blocked_dump_and_deadlock_panic_name_wait_reasons() {
+        // both diagnostics format the same per-task wait reasons: task0
+        // waits on a completion nobody signals, task1 on a time advance
+        let sim = Sim::new();
+        let c = Completion::new();
+        let dump = Arc::new(Mutex::new(String::new()));
+        let d2 = dump.clone();
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            sim.run(3, |ctx| match ctx.rank() {
+                0 => ctx.wait_threshold(&c, 3),
+                1 => ctx.advance(SimDuration::from_us(5)),
+                _ => *d2.lock() = ctx.sim().blocked_dump(),
+            })
+        }));
+        let dump = dump.lock().clone();
+        assert!(dump.contains("task0: waiting on completion>=3"), "{dump}");
+        assert!(dump.contains("task1: waiting on advance until 5.000us"), "{dump}");
+        let payload = r.expect_err("task0 can never resume");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.starts_with("virtual-time deadlock"), "{msg}");
+        assert!(msg.contains("task0: waiting on completion>=3"), "{msg}");
     }
 
     #[test]
