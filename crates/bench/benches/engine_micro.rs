@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the simulator itself: event throughput, a task
-//! waking itself, put-call overhead, machine construction.
+//! waking itself, a task polling beside a busy peer, put-call overhead,
+//! machine construction.
 //!
 //! Plain wall-clock harness (no external benchmarking crate — the
 //! build environment resolves crates offline). Run with
@@ -11,6 +12,8 @@
 use pcie_sim::ClusterSpec;
 use shmem_gdr::{Design, Domain, RuntimeConfig, ShmemMachine};
 use sim_core::{Sim, SimDuration};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn iters() -> u32 {
@@ -61,6 +64,27 @@ fn engine_self_wakes(n: u32) {
     });
 }
 
+fn engine_poll_peer(n: u32) {
+    bench("engine_poll_peer", n, || {
+        let sim = Sim::new();
+        let flag = Arc::new(AtomicBool::new(false));
+        sim.run(2, |ctx| {
+            if ctx.rank() == 0 {
+                for _ in 0..1000 {
+                    ctx.advance(SimDuration::from_ns(100));
+                }
+                flag.store(true, Ordering::SeqCst);
+            } else {
+                let flag = flag.clone();
+                ctx.poll(SimDuration::from_ns(50), move |_| {
+                    (!flag.load(Ordering::SeqCst)).then_some(SimDuration::from_ns(50))
+                });
+            }
+        });
+        sim.stats().handoffs
+    });
+}
+
 fn shmem_put_roundtrips(n: u32) {
     bench("shmem_1k_puts_quiet", n, || {
         let m = ShmemMachine::build(
@@ -94,6 +118,7 @@ fn main() {
     let n = iters();
     engine_event_throughput(n);
     engine_self_wakes(n);
+    engine_poll_peer(n);
     shmem_put_roundtrips(n);
     machine_construction(n);
 }

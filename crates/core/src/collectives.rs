@@ -270,7 +270,7 @@ impl Pe {
                             self.proc_id(),
                             ProcId(partner as u32),
                             cell,
-                            |v| v >= gen,
+                            move |v| v >= gen,
                         )
                     })?;
                     r += 1;
@@ -390,7 +390,7 @@ impl Pe {
                             self.proc_id(),
                             ProcId(parent as u32),
                             cell,
-                            |v| v >= gen,
+                            move |v| v >= gen,
                         )
                     })?;
                 }
@@ -491,7 +491,7 @@ impl Pe {
                             self.proc_id(),
                             ProcId(pe as u32),
                             cells::REDUCE_FLAGS + 8 * pe as u64,
-                            |v| v >= gen,
+                            move |v| v >= gen,
                         )
                     })?;
                     let slot = m.sync_cell(
@@ -586,7 +586,7 @@ impl Pe {
                             self.proc_id(),
                             ProcId(s_pe as u32),
                             cells::COLL_FLAGS + 8 * s_pe as u64,
-                            |v| v >= gen,
+                            move |v| v >= gen,
                         )
                     })?;
                 }
@@ -650,7 +650,7 @@ impl Pe {
                             self.proc_id(),
                             ProcId(s_pe as u32),
                             cells::COLL_FLAGS + 8 * s_pe as u64,
-                            |v| v >= gen,
+                            move |v| v >= gen,
                         )
                     })?;
                 }

@@ -1040,8 +1040,12 @@ impl ShmemMachine {
         let _ = writeln!(
             s,
             "engine: {} events executed, heap high-water {}, \
-             {} completions signalled, {} time-advance stalls",
-            es.events_executed, es.max_heap_len, es.completions_signalled, es.time_advance_stalls
+             {} completions signalled, {} time-advance stalls, {} handoffs",
+            es.events_executed,
+            es.max_heap_len,
+            es.completions_signalled,
+            es.time_advance_stalls,
+            es.handoffs
         );
         s
     }

@@ -510,14 +510,12 @@ impl Pe {
         st.enter_library();
         let mem = self.addr_of(sym, self.my_pe());
         let arena = self.m.cluster().mem().get(mem.space).expect("sym arena");
-        loop {
-            self.m.drain_pending(&self.ctx, self.id);
-            let cur = arena.read_u64(mem.offset).expect("flag read");
-            if cmp.eval(cur, value) {
-                break;
-            }
-            self.ctx.advance(self.m.poll_interval());
-        }
+        let every = self.m.poll_interval();
+        self.m
+            .poll_until(&self.ctx, self.id, every, every, move |_| {
+                cmp.eval(arena.read_u64(mem.offset).expect("flag read"), value)
+                    .then_some(())
+            });
         st.leave_library();
     }
 

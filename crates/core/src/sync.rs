@@ -16,7 +16,8 @@ use crate::membership::PartitionOutcome;
 use crate::state::Protocol;
 use pcie_sim::mem::MemRef;
 use pcie_sim::ProcId;
-use sim_core::{SimDuration, TaskCtx};
+use sim_core::{SimDuration, SimTime, TaskCtx};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Default `sync_wait` deadline under an active fault plan that sets no
@@ -180,9 +181,54 @@ impl ShmemMachine {
         Ok(())
     }
 
+    /// Poll until `check(now)` yields an outcome and return it — the
+    /// runtime's one polling loop. Deferred target-side work is drained
+    /// on the PE's thread before each check. The first wait is
+    /// `interval`; each later one doubles it, up to `cap`.
+    ///
+    /// Between checks the loop is a [`TaskCtx::poll`] step: the engine
+    /// runs `check` inline at each wake-up, with its lock held, and the
+    /// PE's thread resumes only when the check ends the wait or work is
+    /// queued for it to drain. Event order, virtual time and engine
+    /// counters are those of the plain `drain; check; advance` loop.
+    /// `check` runs on either thread, so it takes the time as an
+    /// argument and must not call into the engine. It must also leave
+    /// no trace: when a step ends the wait, the PE's thread evaluates
+    /// it again, at the same instant, to take the outcome.
+    pub(crate) fn poll_until<R>(
+        self: &Arc<Self>,
+        ctx: &TaskCtx,
+        me: ProcId,
+        interval: SimDuration,
+        cap: SimDuration,
+        check: impl Fn(SimTime) -> Option<R> + Clone + Send + 'static,
+    ) -> R {
+        // the next wait, shared with the step that advances the backoff;
+        // the engine lock orders the step's store before the thread's load
+        let next = Arc::new(AtomicU64::new(interval.as_ps()));
+        loop {
+            self.drain_pending(ctx, me);
+            if let Some(out) = check(ctx.now()) {
+                return out;
+            }
+            let first = SimDuration::from_ps(next.load(Relaxed));
+            let (m, next, check) = (self.clone(), next.clone(), check.clone());
+            ctx.poll(first, move |now| {
+                let wait = (SimDuration::from_ps(next.load(Relaxed)) * 2).min(cap);
+                next.store(wait.as_ps(), Relaxed);
+                let idle = m.pe_state(me).pending.lock().is_empty() && check(now).is_none();
+                idle.then_some(wait)
+            });
+        }
+    }
+
     /// Poll a local sync cell until `pred(value)` holds, with exponential
     /// backoff (poll_interval up to 2us) so long waits stay cheap in
-    /// event count while the timing error stays bounded.
+    /// event count while the timing error stays bounded. The flag,
+    /// crash, partition and timeout checks below form one check closure
+    /// that [`ShmemMachine::poll_until`] evaluates, mostly as an engine
+    /// poll step on whichever thread holds the baton: an idle waiter
+    /// costs no OS thread handoffs.
     ///
     /// Under an active fault plan the poll is bounded by a virtual-time
     /// deadline (the plan's `op_timeout_ns`, or [`SYNC_WAIT_TIMEOUT_NS`]
@@ -214,12 +260,10 @@ impl ShmemMachine {
         me: ProcId,
         from: ProcId,
         cell_off: u64,
-        pred: impl Fn(u64) -> bool,
+        pred: impl Fn(u64) -> bool + Clone + Send + 'static,
     ) -> Result<(), TransferError> {
         let cell = self.sync_cell(me, cell_off);
         let arena = self.cluster().mem().get(cell.space).expect("sync segment");
-        let mut interval = self.poll_interval();
-        let cap = SimDuration::from_us(2);
         let timeout_ns = if self.cfg().faults.active() {
             match self.cfg().faults.op_timeout_ns {
                 0 => SYNC_WAIT_TIMEOUT_NS,
@@ -232,26 +276,25 @@ impl ShmemMachine {
         let ms = *self.membership();
         let writer_evicts = if ms.armed() { ms.detect_ns(from.0) } else { None };
         let me_evicts = if ms.armed() { ms.detect_ns(me.0) } else { None };
-        loop {
-            self.drain_pending(ctx, me);
+        let check = move |now: SimTime| -> Option<Result<(), TransferError>> {
             if pred(arena.read_u64(cell.offset).expect("sync flag read")) {
-                return Ok(());
+                return Some(Ok(()));
             }
-            let now_ns = ctx.now().0 / sim_core::PS_PER_NS;
+            let now_ns = now.0 / sim_core::PS_PER_NS;
             if me_evicts.is_some() && ms.crashed(me.0, now_ns) {
-                return Err(TransferError::PeerDead {
+                return Some(Err(TransferError::PeerDead {
                     pe: me.0,
                     epoch: ms.epoch_at(now_ns),
-                });
+                }));
             }
             if let Some(detect) = writer_evicts {
                 if now_ns >= detect && ms.crashed(from.0, now_ns) {
-                    return Err(TransferError::PeerDead {
+                    return Some(Err(TransferError::PeerDead {
                         pe: from.0,
                         epoch: ms
                             .eviction_epoch(from.0)
                             .expect("detectable crash has an eviction epoch"),
-                    });
+                    }));
                 }
             }
             if ms.armed() {
@@ -259,18 +302,24 @@ impl ShmemMachine {
                     ms.partition_outcome(me.0, from.0, now_ns)
                 {
                     if now_ns >= at_ns {
-                        return Err(TransferError::Partitioned { pe, epoch });
+                        return Some(Err(TransferError::Partitioned { pe, epoch }));
                     }
                 }
             }
-            if timeout_ns > 0 && ctx.now().0 >= deadline {
-                return Err(TransferError::Timeout {
+            if timeout_ns > 0 && now.0 >= deadline {
+                return Some(Err(TransferError::Timeout {
                     after_ns: timeout_ns,
                     diag: String::new(),
-                });
+                }));
             }
-            ctx.advance(interval);
-            interval = (interval * 2).min(cap);
-        }
+            None
+        };
+        self.poll_until(
+            ctx,
+            me,
+            self.poll_interval(),
+            SimDuration::from_us(2),
+            check,
+        )
     }
 }

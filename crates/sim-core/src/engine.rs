@@ -9,6 +9,12 @@
 //! queue is empty it first drives the event heap — moving the clock —
 //! until some event wakes a task.
 //!
+//! A task polling a flag ([`TaskCtx::poll`]) leaves its check with the
+//! engine as a *poll step*. When the woken poller reaches the head of the
+//! ready queue, the step runs inline on whichever thread is passing the
+//! baton; only a step that sees something happen resumes the poller's
+//! own thread, so an idle poller costs no OS thread handoffs.
+//!
 //! Hardware models (DMA engines, HCAs, proxies) are not threads; they are
 //! chains of scheduled closures (`Action`s) that fire at virtual instants,
 //! move bytes between arenas, and signal completions.
@@ -41,6 +47,10 @@ impl fmt::Display for TaskId {
 
 /// A deferred closure run by the engine at a virtual instant.
 pub type Action = Box<dyn FnOnce(&mut Sched<'_>) + Send>;
+
+/// A polling task's loop body, run by the engine at each poll wake-up
+/// (see [`TaskCtx::poll`]).
+type PollStep = Box<dyn FnMut(SimTime) -> Option<SimDuration> + Send>;
 
 /// What a heap entry does when it fires: wake a task blocked in
 /// [`TaskCtx::advance`] (no closure needed), or run an action.
@@ -94,6 +104,8 @@ struct TaskState {
     /// In `Core::ready`, waiting for the baton.
     queued: bool,
     wait_reason: Option<WaitReason>,
+    /// Set while the task polls: run in its place when it is popped.
+    step: Option<PollStep>,
     /// The task's thread sleeps here until it holds the baton.
     parked: Arc<Condvar>,
 }
@@ -113,6 +125,10 @@ pub struct EngineStats {
     /// ready — each one is a stall where virtual time could only
     /// advance through the event heap.
     pub time_advance_stalls: u64,
+    /// Baton passes that moved the baton to another task's thread (a
+    /// condvar signal and an OS thread switch). Poll steps that find
+    /// nothing to do and a task that keeps the baton do not count.
+    pub handoffs: u64,
 }
 
 struct Core {
@@ -148,14 +164,22 @@ impl Core {
     /// no pending event, the engine is deadlocked: poison and panic.
     /// When the head is `caller` itself, it is running, not parked, and
     /// keeps the baton without a condvar signal.
+    ///
+    /// A head with a poll step runs the step here instead: `Some(d)` re-
+    /// arms the poll exactly as its thread's `advance(d)` would have, and
+    /// the pass moves on; `None` resumes the task's thread.
     fn pass_baton(&mut self, caller: Option<TaskId>) {
         self.baton = None;
         loop {
             if let Some(next) = self.ready.pop_front() {
-                let st = &mut self.tasks[next.0];
-                st.queued = false;
+                self.tasks[next.0].queued = false;
+                if self.run_step(next) {
+                    continue;
+                }
+                let st = &self.tasks[next.0];
                 if caller != Some(next) {
                     st.parked.notify_one();
+                    self.stats.handoffs += 1;
                 }
                 self.baton = Some(next);
                 return;
@@ -175,6 +199,31 @@ impl Core {
                         self.waiting_tasks()
                     )
                 }
+            }
+        }
+    }
+
+    /// Run `task`'s poll step, if it has one. True when the step re-armed
+    /// the poll (the task stays parked); false when the task's thread
+    /// must take the baton. A panicking step poisons the engine.
+    fn run_step(&mut self, task: TaskId) -> bool {
+        let Some(mut step) = self.tasks[task.0].step.take() else {
+            return false;
+        };
+        let now = self.now;
+        match catch_unwind(AssertUnwindSafe(|| step(now))) {
+            Ok(Some(d)) => {
+                let at = now + d;
+                self.push(at, Event::Wake(task));
+                let st = &mut self.tasks[task.0];
+                st.wait_reason = Some(WaitReason::Advance(at));
+                st.step = Some(step);
+                true
+            }
+            Ok(None) => false,
+            Err(payload) => {
+                self.poison();
+                resume_unwind(payload);
             }
         }
     }
@@ -205,9 +254,11 @@ impl Core {
     }
 
     /// Mark the engine failed and wake every parked task so it unwinds.
+    /// Poll steps are dropped: no task resumes through one again.
     fn poison(&mut self) {
         self.poisoned = true;
-        for t in &self.tasks {
+        for t in &mut self.tasks {
+            t.step = None;
             t.parked.notify_one();
         }
     }
@@ -356,6 +407,33 @@ impl TaskCtx {
         Sim::block_current(&mut guard, me, WaitReason::Advance(at));
     }
 
+    /// Poll: spend `first` of virtual time, then call `step(now)` at each
+    /// wake-up until it returns `None`; `Some(d)` means nothing happened
+    /// yet and the next check is `d` later. Returns at the instant of the
+    /// `None`.
+    ///
+    /// Equivalent to `advance(first); while let Some(d) = step(now) {
+    /// advance(d) }` in event order, seq numbers, engine counters and
+    /// virtual time; the difference is only which thread runs `step`.
+    /// The engine runs it inline, with its lock held, on whichever thread
+    /// is passing the baton, so the task's own thread stays parked until
+    /// the step says it must run. `step` must therefore not call into
+    /// the engine (no `Sim` or `TaskCtx` method: the lock is not
+    /// reentrant) and takes the time as its argument. A panic in `step`
+    /// poisons the engine.
+    pub fn poll(
+        &self,
+        first: SimDuration,
+        step: impl FnMut(SimTime) -> Option<SimDuration> + Send + 'static,
+    ) {
+        let me = self.id;
+        let mut guard = self.sim.core.lock();
+        let at = guard.now + first;
+        guard.push(at, Event::Wake(me));
+        guard.tasks[me.0].step = Some(Box::new(step));
+        Sim::block_current(&mut guard, me, WaitReason::Advance(at));
+    }
+
     /// Block until `c`'s counter reaches at least `threshold`.
     pub fn wait_threshold(&self, c: &Completion, threshold: u64) {
         let me = self.id;
@@ -493,6 +571,7 @@ impl Sim {
                     alive: true,
                     queued: true,
                     wait_reason: None,
+                    step: None,
                     parked: Arc::new(Condvar::new()),
                 });
                 core.ready.push_back(TaskId(id));
@@ -1128,6 +1207,90 @@ mod continuation_tests {
         });
         assert_eq!(out[0], 4.0);
         assert_eq!(act.load(AO::SeqCst), 1);
+    }
+
+    /// Task 1 waits for a flag that task 0 sets after 1 000 advances,
+    /// backing off from 200 ns to 2 us: as a poll step, or as the plain
+    /// `loop { check; advance }` on its own thread. Returns the instant
+    /// the waiter resumed and the engine counters.
+    fn flag_wait_beside_worker(by_step: bool) -> (SimTime, EngineStats) {
+        let sim = Sim::new();
+        let flag = Arc::new(AtomicU64::new(0));
+        let out = sim.run(2, |ctx| {
+            if ctx.rank() == 0 {
+                for _ in 0..1000 {
+                    ctx.advance(SimDuration::from_ns(700));
+                }
+                flag.store(1, AO::SeqCst);
+                return ctx.now();
+            }
+            let cap = SimDuration::from_us(2);
+            let mut wait = SimDuration::from_ns(200);
+            if by_step {
+                let f = flag.clone();
+                ctx.poll(wait, move |_| {
+                    wait = (wait * 2).min(cap);
+                    (f.load(AO::SeqCst) == 0).then_some(wait)
+                });
+            } else {
+                while flag.load(AO::SeqCst) == 0 {
+                    ctx.advance(wait);
+                    wait = (wait * 2).min(cap);
+                }
+            }
+            ctx.now()
+        });
+        (out[1], sim.stats())
+    }
+
+    #[test]
+    fn poll_step_matches_thread_loop_without_handoffs() {
+        let (at, st) = flag_wait_beside_worker(true);
+        let (ref_at, ref_st) = flag_wait_beside_worker(false);
+        assert_eq!(at, ref_at);
+        // polls at 0.2, 0.6, 1.4, 3.0 us, then every 2 us: 701 us is
+        // the first after the flag is set at 700 us
+        assert_eq!(at.as_us_f64(), 701.0);
+        assert_eq!(st.events_executed, ref_st.events_executed);
+        assert_eq!(st.wakeups, ref_st.wakeups);
+        assert_eq!(st.time_advance_stalls, ref_st.time_advance_stalls);
+        assert_eq!(st.max_heap_len, ref_st.max_heap_len);
+        // the thread loop hands the baton over at every poll wake-up;
+        // steps only at the task starts, exits and the final resume
+        assert!(ref_st.handoffs > 600, "{ref_st:?}");
+        assert!(st.handoffs <= 4, "{st:?}");
+    }
+
+    #[test]
+    fn panicking_poll_step_poisons_and_reraises_root_cause() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let sim = Sim::new();
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                sim.run(2, |ctx| {
+                    if ctx.rank() == 0 {
+                        let mut polls = 0;
+                        ctx.poll(SimDuration::from_ns(100), move |_| {
+                            polls += 1;
+                            assert!(polls < 3, "step boom at poll {polls}");
+                            Some(SimDuration::from_ns(100))
+                        });
+                    } else {
+                        for _ in 0..100 {
+                            ctx.advance(SimDuration::from_ns(30));
+                        }
+                    }
+                })
+            }));
+            done.send(r.map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default()))
+                .unwrap();
+        });
+        let r = finished
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a panicking poll step hung the engine");
+        runner.join().unwrap();
+        let msg = r.expect_err("the step's panic must fail the run");
+        assert!(msg.contains("step boom"), "{msg}");
     }
 
     #[test]
